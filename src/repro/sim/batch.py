@@ -56,6 +56,10 @@ from repro.sim.statevector import apply_instruction, apply_unitary
 #: application to stay bit-identical.
 _MIN_GEMM_COLUMNS = 4
 
+#: Idle trailing qubits the self-check appends to compare a narrow
+#: register against a wide one (2**8 times the GEMM columns).
+_IDLE_CHECK_QUBITS = 8
+
 #: Lazily computed result of the width-invariance self-check (None
 #: until the first wide-path call).  False drops every batch to the
 #: per-row scalar path for the life of the process.
@@ -88,8 +92,11 @@ def _wide_kernel_bit_identical() -> bool:
     Applies fixed 1Q and 2Q unitaries with irrational entries to a
     deterministic batch of states at the narrowest shapes the wide path
     accepts (``2**(n - k) == _MIN_GEMM_COLUMNS``) and compares every
-    amplitude bitwise against the scalar engine.  Cached for the life
-    of the process; costs a few microseconds once.
+    amplitude bitwise against the scalar engine — once on the narrow
+    register and once with :data:`_IDLE_CHECK_QUBITS` idle trailing
+    qubits appended, the shape a device-wide register presents to
+    :func:`compact_register`'s narrow one.  Cached for the life of the
+    process; costs under a millisecond once.
     """
     global _WIDE_KERNEL_VERIFIED
     if _WIDE_KERNEL_VERIFIED is None:
@@ -108,9 +115,17 @@ def _wide_kernel_bit_identical() -> bool:
                 rng.standard_normal((3, 2**n))
             )
             wide = _apply_unitary_batch_gemm(states, matrix, gate_qubits, n)
+            idle = np.zeros((2**n, 2**_IDLE_CHECK_QUBITS), dtype=complex)
             for i in range(states.shape[0]):
                 row = apply_unitary(states[i], matrix, gate_qubits, n)
                 if not np.array_equal(wide[i], row):
+                    ok = False
+                idle[:, 0] = states[i]
+                padded = apply_unitary(
+                    idle.reshape(-1), matrix, gate_qubits,
+                    n + _IDLE_CHECK_QUBITS,
+                ).reshape(idle.shape)
+                if not np.array_equal(padded[:, 0], row):
                     ok = False
         _WIDE_KERNEL_VERIFIED = ok
     return _WIDE_KERNEL_VERIFIED
@@ -206,6 +221,46 @@ def simulate_statevector_batch(
             # Scalar per-row application: the exact legacy code path.
             states[row] = apply_instruction(states[row], fault, n)
     return states
+
+
+def compact_register(
+    circuit: Circuit,
+) -> Optional[Tuple[Circuit, Dict[int, int]]]:
+    """``circuit`` on only the qubits it touches, or None if no smaller.
+
+    Keeps the qubits some gate or measurement acts on (barriers do not
+    count), in ascending order, then pads the register with idle
+    trailing qubits up to ``max gate arity + 2`` so every gate still
+    hands BLAS at least :data:`_MIN_GEMM_COLUMNS` columns.  Returns the
+    rewritten circuit (same instruction positions, barriers emptied)
+    and the original -> compact qubit index.
+
+    Why the amplitudes come out bit-identical: untouched qubits stay
+    |0>, so every amplitude of the full register with an untouched bit
+    set is exactly zero, and the rest are the compact register's
+    amplitudes, in the same relative order.  Each gate computes a GEMM
+    column from that column's values alone (the width invariance
+    :func:`_wide_kernel_bit_identical` checks), so both registers
+    produce the same floats; callers that need bit-identity must check
+    it before using the compact register.
+    """
+    touched = sorted(
+        {q for inst in circuit if not inst.is_barrier for q in inst.qubits}
+    )
+    arity = max(
+        (inst.num_qubits for inst in circuit if inst.is_unitary), default=1
+    )
+    width = max(len(touched), arity + _MIN_GEMM_COLUMNS.bit_length() - 1)
+    if width >= circuit.num_qubits:
+        return None
+    index = {qubit: i for i, qubit in enumerate(touched)}
+    compact = Circuit(width, name=circuit.name)
+    for inst in circuit:
+        compact.append(
+            Instruction("barrier", ()) if inst.is_barrier
+            else inst.remap(index)
+        )
+    return compact, index
 
 
 def probabilities_from_states(states: np.ndarray) -> np.ndarray:

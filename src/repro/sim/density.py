@@ -9,9 +9,14 @@ evolved *exactly* as a density matrix:
 * readout confusion is applied as a classical channel on the final
   distribution.
 
-Exponential in memory (4^n), so intended for <= 8 qubits — enough to
-validate the sampling estimator on the 3-5 qubit benchmarks, which is
-exactly what ``tests/test_sim_density.py`` does.
+Exponential in memory (4^n), so limited to :data:`MAX_DENSITY_QUBITS`
+(9) qubits.  :func:`exact_success_probability` evolves only the qubits
+the program touches (:func:`repro.sim.batch.compact_register`, the
+index the Monte-Carlo estimator uses), with error rates still looked up
+on the device qubits, so the limit bounds the program's width rather
+than the device's: a 4-qubit benchmark compiled for a 16-qubit machine
+is a 4-qubit density matrix.  ``tests/test_sim_density.py`` validates
+the sampling estimator against it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.devices.calibration import Calibration
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.ir.gates import gate_matrix
+from repro.sim.batch import compact_register
 from repro.sim.noise import NoiseModel, instruction_error_probability
 from repro.sim.statevector import measurement_wiring
 
@@ -129,19 +136,33 @@ def simulate_density(
     device: Optional[Device] = None,
     day: Optional[int] = None,
 ) -> np.ndarray:
-    """The exact final density matrix, with noise when a device is given."""
-    n = circuit.num_qubits
-    _check_size(n)
+    """The exact final density matrix, with noise when a device is given.
+
+    The matrix spans the circuit's whole register.
+    """
     calibration = device.calibration(day) if device is not None else None
+    return _evolve_density(circuit, circuit, calibration)
+
+
+def _evolve_density(
+    simulated: Circuit,
+    physical: Circuit,
+    calibration: Optional[Calibration],
+) -> np.ndarray:
+    """Evolve ``simulated``, taking each gate's error rate from the
+    instruction at the same position of ``physical`` (the same circuit
+    on the device register)."""
+    n = simulated.num_qubits
+    _check_size(n)
     rho = zero_density(n)
-    for inst in circuit:
+    for inst, device_inst in zip(simulated, physical):
         if not inst.is_unitary:
             continue
         matrix = gate_matrix(inst.name, inst.params)
         rho = apply_unitary_to_density(rho, matrix, inst.qubits, n)
         if calibration is None:
             continue
-        probability = instruction_error_probability(inst, calibration)
+        probability = instruction_error_probability(device_inst, calibration)
         if probability > 0.0:
             kraus = depolarizing_kraus(probability, len(inst.qubits))
             rho = apply_channel(rho, kraus, inst.qubits, n)
@@ -182,8 +203,13 @@ def exact_success_probability(
     wiring = measurement_wiring(circuit)
     if not wiring:
         raise ValueError("circuit has no measurements")
-    rho = simulate_density(circuit, device, day)
-    distribution = density_distribution(rho, wiring, circuit.num_qubits)
+    simulated, index = compact_register(circuit) or (
+        circuit, {q: q for q in range(circuit.num_qubits)}
+    )
+    rho = _evolve_density(simulated, circuit, device.calibration(day))
+    distribution = density_distribution(
+        rho, [(index[q], cbit) for q, cbit in wiring], simulated.num_qubits
+    )
     model = NoiseModel.from_device(device, circuit, day)
     total = 0.0
     for bits, probability in distribution.items():

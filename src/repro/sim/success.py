@@ -18,14 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.obs.tracer import span as obs_span
-from repro.sim.batch import chunked, simulate_statevector_batch
+from repro.sim.batch import (
+    _wide_kernel_bit_identical,
+    chunked,
+    compact_register,
+    simulate_statevector_batch,
+)
 from repro.sim.noise import NoiseModel, fault_config_key
 from repro.sim.statevector import (
     distribution_from_state,
@@ -99,6 +104,39 @@ def coherence_survival(circuit: Circuit, device: Device) -> float:
     return math.exp(-duration_us / device.coherence_time_us)
 
 
+def _simulated_register(
+    circuit: Circuit,
+    wiring: Sequence[Tuple[int, int]],
+    readout_error: Dict[int, float],
+) -> Tuple[Circuit, Dict[int, int], List[Tuple[int, int]], Dict[int, float]]:
+    """Where the statevector engine runs ``circuit``.
+
+    Returns the circuit to simulate, the device -> simulated qubit
+    index, and the measurement wiring and readout table through that
+    index.  The register is compacted to the touched qubits
+    (:func:`repro.sim.batch.compact_register`) only when this BLAS
+    passed the width-invariance self-check, so every float downstream
+    stays bit-identical to the full-register simulation.
+    """
+    compact = compact_register(circuit)
+    if compact is None or not _wide_kernel_bit_identical():
+        compact = circuit, {q: q for q in range(circuit.num_qubits)}
+    simulated, index = compact
+    sim_wiring = [(index[q], cbit) for q, cbit in wiring]
+    sim_readout = {index[q]: readout_error.get(q, 0.0) for q, _ in wiring}
+    return simulated, index, sim_wiring, sim_readout
+
+
+def _readout_survival(
+    wiring: Sequence[Tuple[int, int]], readout_error: Dict[int, float]
+) -> float:
+    """Probability that no measured bit suffers a readout flip."""
+    survival = 1.0
+    for qubit, _ in wiring:
+        survival *= 1.0 - readout_error.get(qubit, 0.0)
+    return survival
+
+
 def estimated_success_probability(
     circuit: Circuit,
     device: Device,
@@ -109,15 +147,18 @@ def estimated_success_probability(
     """Analytic ESP: clean-run probability x readout survival x ideal."""
     wiring = _check_correct(circuit, correct)
     model = NoiseModel.from_device(device, circuit, day)
-    ideal_state = simulate_statevector(circuit)
+    simulated, _, wiring, readout = _simulated_register(
+        circuit, wiring, model.readout_error
+    )
     distribution = distribution_from_state(
-        ideal_state, wiring, circuit.num_qubits
+        simulate_statevector(simulated), wiring, simulated.num_qubits
     )
     ideal = distribution.get(correct, 0.0)
-    survival = 1.0
-    for qubit, _ in wiring:
-        survival *= 1.0 - model.readout_error.get(qubit, 0.0)
-    esp = model.no_fault_probability() * survival * ideal
+    esp = (
+        model.no_fault_probability()
+        * _readout_survival(wiring, readout)
+        * ideal
+    )
     if include_coherence:
         esp *= coherence_survival(circuit, device)
     return esp
@@ -156,18 +197,24 @@ def monte_carlo_success_rate(
     wiring = _check_correct(circuit, correct)
     model = NoiseModel.from_device(device, circuit, day)
     rng = np.random.default_rng(seed)
-
-    ideal_state = simulate_statevector(circuit)
-    ideal_distribution = distribution_from_state(
-        ideal_state, wiring, circuit.num_qubits
+    # The noise model, RNG stream and fault positions stay on the
+    # device register; only the statevector engine sees the compacted
+    # one, reached through ``qubit_index``.
+    simulated, qubit_index, sim_wiring, readout = _simulated_register(
+        circuit, wiring, model.readout_error
     )
+    n = simulated.num_qubits
+
+    ideal_state = simulate_statevector(simulated)
+    ideal_distribution = distribution_from_state(ideal_state, sim_wiring, n)
     ideal_rate = ideal_distribution.get(correct, 0.0)
     clean_correct = _readout_corrected_correct_probability(
-        ideal_distribution, correct, wiring, model.readout_error
+        ideal_distribution, correct, sim_wiring, readout
     )
 
     p_clean = model.no_fault_probability()
-    esp = estimated_success_probability(circuit, device, correct, day)
+    # estimated_success_probability's product, from the same floats.
+    esp = p_clean * _readout_survival(sim_wiring, readout) * ideal_rate
 
     faulty_weight = 1.0 - p_clean
     faulty_mean = 0.0
@@ -178,6 +225,8 @@ def monte_carlo_success_rate(
             "simulate.success",
             circuit=circuit.name,
             fault_samples=fault_samples,
+            state_qubits=n,
+            device_qubits=circuit.num_qubits,
         ) as sp:
             sample_config = np.empty(fault_samples, dtype=np.intp)
             config_index: Dict[tuple, int] = {}
@@ -189,24 +238,26 @@ def monte_carlo_success_rate(
                 if index is None:
                     index = len(config_injections)
                     config_index[key] = index
-                    config_injections.append(
-                        model.faults_as_injections(faults)
-                    )
+                    config_injections.append([
+                        (position, pauli.remap(qubit_index))
+                        for position, pauli in model.faults_as_injections(
+                            faults
+                        )
+                    ])
                 sample_config[s] = index
             config_correct = np.empty(len(config_injections), dtype=float)
             config_order = list(range(len(config_injections)))
             for chunk in chunked(config_order, _MAX_CONFIGS_IN_FLIGHT):
                 states = simulate_statevector_batch(
-                    circuit, [config_injections[c] for c in chunk]
+                    simulated, [config_injections[c] for c in chunk]
                 )
                 for row, config in enumerate(chunk):
                     distribution = distribution_from_state(
-                        states[row], wiring, circuit.num_qubits
+                        states[row], sim_wiring, n
                     )
                     config_correct[config] = (
                         _readout_corrected_correct_probability(
-                            distribution, correct, wiring,
-                            model.readout_error,
+                            distribution, correct, sim_wiring, readout
                         )
                     )
             acc = 0.0

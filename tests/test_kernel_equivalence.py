@@ -33,7 +33,13 @@ from repro.compiler import (
 from repro.compiler.mapping import smt_mapping
 from repro.compiler.reliability import _reference_compute_reliability
 from repro.contracts.fuzz import random_circuit
-from repro.devices import all_devices
+from repro.devices import all_devices, device_by_name
+from repro.ir import Circuit
+from repro.ir.instruction import Instruction
+from repro.obs import Tracer, tracer_context
+from repro.programs import benchmark_by_name
+from repro.sim.batch import compact_register
+from repro.sim.statevector import measurement_wiring
 from repro.sim.success import (
     _reference_monte_carlo_success_rate,
     monte_carlo_success_rate,
@@ -138,21 +144,90 @@ def test_cross_day_warm_hint_identical_placement(device_name):
     assert warm.degraded == cold.degraded
 
 
-@pytest.mark.parametrize("device_name", ["IBM Q5 Tenerife", "Rigetti Agave"])
+def _assert_estimates_bitwise_equal(circuit, device, correct, samples):
+    """The batched, compacted estimator against the full-register
+    one-sample-at-a-time reference, float for float."""
+    batched = monte_carlo_success_rate(
+        circuit, device, correct, fault_samples=samples, seed=1234
+    )
+    reference = _reference_monte_carlo_success_rate(
+        circuit, device, correct, fault_samples=samples, seed=1234
+    )
+    assert batched.success_rate.hex() == reference.success_rate.hex()
+    assert batched.ideal_rate.hex() == reference.ideal_rate.hex()
+    assert batched.esp.hex() == reference.esp.hex()
+    assert (
+        batched.no_fault_probability.hex()
+        == reference.no_fault_probability.hex()
+    )
+
+
+@pytest.mark.parametrize("device_name", DEVICE_NAMES)
 def test_success_estimate_bitwise_equal(device_name):
     device = DEVICES[device_name]
     compiled = _compiled_random(device, 5)
-    from repro.sim.statevector import measurement_wiring
-
     wiring = measurement_wiring(compiled)
     correct = "0" * (max(cbit for _, cbit in wiring) + 1)
-    batched = monte_carlo_success_rate(
-        compiled, device, correct, fault_samples=120, seed=1234
-    )
-    reference = _reference_monte_carlo_success_rate(
-        compiled, device, correct, fault_samples=120, seed=1234
-    )
-    assert batched.success_rate.hex() == reference.success_rate.hex()
+    # Few samples on the wide devices: the reference simulates the
+    # whole 2**14/2**16 register once per sample.
+    samples = 120 if device.num_qubits <= 8 else 12
+    _assert_estimates_bitwise_equal(compiled, device, correct, samples)
+
+
+class TestCompactedRegister:
+    """Edge cases of simulating only the qubits a program touches."""
+
+    @staticmethod
+    def _compiled_hs2(device_short):
+        device = device_by_name(device_short)
+        circuit, correct = benchmark_by_name("HS2").build()
+        compiler = TriQCompiler(
+            device, level=OptimizationLevel.OPT_1QCN, time_limit_s=None
+        )
+        return device, compiler.compile(circuit).circuit, correct
+
+    @pytest.mark.parametrize("device_short", ["aspen1", "aspen3"])
+    def test_two_touched_qubits_pad_to_gemm_width(self, device_short):
+        # HS2 touches two qubits; an unpadded 2-qubit register hands
+        # BLAS narrow matrices and drifts from the reference by ULPs.
+        device, compiled, correct = self._compiled_hs2(device_short)
+        simulated, index = compact_register(compiled)
+        assert len(index) == 2
+        assert simulated.num_qubits == 4
+        _assert_estimates_bitwise_equal(compiled, device, correct, 16)
+
+    def test_barrier_does_not_widen_the_register(self):
+        device, compiled, correct = self._compiled_hs2("rueschlikon")
+        instructions = list(compiled)
+        middle = len(instructions) // 2
+        instructions[middle:middle] = [
+            Instruction("barrier", tuple(range(device.num_qubits))),
+            Instruction("barrier", ()),
+        ]
+        with_barrier = Circuit(
+            compiled.num_qubits, name=compiled.name,
+            instructions=instructions,
+        )
+        simulated, index = compact_register(with_barrier)
+        assert simulated.num_qubits == compact_register(compiled)[0].num_qubits
+        assert len(simulated) == len(with_barrier)
+        assert sorted(index) == sorted(
+            {q for inst in compiled for q in inst.qubits}
+        )
+        _assert_estimates_bitwise_equal(with_barrier, device, correct, 12)
+
+    def test_failed_self_check_disengages_compaction(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        device, compiled, correct = self._compiled_hs2("melbourne")
+        monkeypatch.setattr(batch, "_WIDE_KERNEL_VERIFIED", False)
+        tracer = Tracer()
+        with tracer_context(tracer):
+            _assert_estimates_bitwise_equal(compiled, device, correct, 8)
+        (sim_span,) = [
+            s for s in tracer.walk() if s.name == "simulate.success"
+        ]
+        assert sim_span.attrs["state_qubits"] == device.num_qubits
 
 
 def test_reference_paths_importable():

@@ -180,6 +180,30 @@ class TestDeterminismInvariance:
             assert fields_a == fields_b
 
 
+class TestSimulateSpan:
+    """The success estimate's span reports the simulated width, and
+    tracing it changes neither the estimate nor the cache key."""
+
+    def test_span_records_compacted_width(self, tmp_path):
+        from repro import api
+
+        kwargs = dict(device="rueschlikon", fault_samples=6)
+        plain = api.run("BV4", **kwargs)
+        traced = api.run(
+            "BV4", **kwargs, obs=ObsConfig(trace=True, out_dir=tmp_path),
+            obs_tag="r",
+        )
+        trace = json.loads((tmp_path / "r-trace.json").read_text())
+        (event,) = [
+            e for e in trace["traceEvents"] if e["name"] == "simulate.success"
+        ]
+        assert event["args"]["device_qubits"] == 16
+        assert event["args"]["state_qubits"] == 4
+        assert traced.compiled.cache_key == plain.compiled.cache_key
+        for field in ("success_rate", "ideal_rate", "esp"):
+            assert getattr(traced, field).hex() == getattr(plain, field).hex()
+
+
 class TestJournalRecords:
     def test_records_keeps_append_order_and_duplicates(self, tmp_path):
         path = tmp_path / "run.jsonl"

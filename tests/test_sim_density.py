@@ -139,3 +139,60 @@ class TestExactSuccess:
         device = make_device(Topology.line(2))
         with pytest.raises(ValueError, match="no measurements"):
             exact_success_probability(Circuit(2).h(0), device, "00")
+
+
+#: (benchmark, device, level, calibration day): the 14/16-qubit cells
+#: the end-to-end benchmark's run_wide workload times.  Each touches at
+#: most four device qubits, so the exact oracle fits on its compacted
+#: register.
+WIDE_CELLS = (
+    ("Toffoli", "melbourne", "N", 5),
+    ("Peres", "melbourne", "1QOptCN", 12),
+    ("HS4", "melbourne", "N", 19),
+    ("Fredkin", "melbourne", "N", 26),
+    ("BV4", "melbourne", "1QOptCN", 33),
+    ("Or", "melbourne", "1QOptCN", 40),
+    ("BV4", "rueschlikon", "1QOptCN", 47),
+    ("HS2", "rueschlikon", "1QOptCN", 54),
+    ("HS4", "rueschlikon", "1QOptCN", 61),
+    ("HS2", "rueschlikon", "N", 68),
+    ("HS2", "aspen1", "1QOptCN", 75),
+    ("HS4", "aspen1", "1QOptCN", 82),
+    ("HS2", "aspen3", "1QOptCN", 89),
+    ("BV4", "aspen3", "1QOptCN", 96),
+    ("HS4", "aspen3", "1QOptCN", 103),
+)
+
+
+class TestWideDeviceOracle:
+    """The density oracle on the 14/16-qubit devices, through the
+    compacted register: MAX_DENSITY_QUBITS bounds the program's width,
+    not the device's."""
+
+    @pytest.mark.parametrize("name,device,level,day", WIDE_CELLS)
+    def test_monte_carlo_within_five_sigma_of_exact(
+        self, name, device, level, day
+    ):
+        from repro import api
+        from repro.devices import device_by_name
+        from repro.sim.batch import compact_register
+
+        samples = 150
+        result = api.compile(name, device=device, level=level, day=day)
+        circuit = result.program.circuit
+        hardware = device_by_name(device, day=day)
+        assert hardware.num_qubits >= 14
+        assert len(compact_register(circuit)[1]) <= 4
+        exact = exact_success_probability(
+            circuit, hardware, result.correct, day=day
+        )
+        estimate = monte_carlo_success_rate(
+            circuit, hardware, result.correct, day=day,
+            fault_samples=samples,
+        )
+        # Each faulty-run sample lies in [0, 1], so its standard
+        # deviation is at most 1/2; the faulty term is weighted by
+        # 1 - p_clean and the clean term is exact.
+        sigma = (1.0 - estimate.no_fault_probability) / (2 * samples**0.5)
+        assert abs(estimate.success_rate - exact) <= 5 * sigma
+
