@@ -10,7 +10,7 @@ off, so the recorder must stay out of the hot path entirely.
 
 import time
 
-from repro.compiler import OptimizationLevel, TriQCompiler
+from repro.compiler import CompileOptions, OptimizationLevel, TriQCompiler
 from repro.devices import ibmq14_melbourne, rigetti_agave
 from repro.programs import bernstein_vazirani
 
@@ -20,7 +20,8 @@ def _compile_time(device, circuit, contracts, repeats=5):
     best = float("inf")
     for _ in range(repeats):
         compiler = TriQCompiler(
-            device, level=OptimizationLevel.OPT_1QCN, contracts=contracts
+            device, level=OptimizationLevel.OPT_1QCN,
+            options=CompileOptions(contracts=contracts),
         )
         started = time.perf_counter()
         compiler.compile(circuit)
@@ -44,7 +45,8 @@ def test_compile_with_contracts_warn(benchmark):
     circuit, _ = bernstein_vazirani(4)
     program = benchmark(
         lambda: TriQCompiler(
-            device, level=OptimizationLevel.OPT_1QCN, contracts="warn"
+            device, level=OptimizationLevel.OPT_1QCN,
+            options=CompileOptions(contracts="warn"),
         ).compile(circuit)
     )
     assert program.contract_violations == ()
@@ -55,7 +57,8 @@ def test_compile_with_contracts_strict(benchmark):
     circuit, _ = bernstein_vazirani(4)
     program = benchmark(
         lambda: TriQCompiler(
-            device, level=OptimizationLevel.OPT_1QCN, contracts="strict"
+            device, level=OptimizationLevel.OPT_1QCN,
+            options=CompileOptions(contracts="strict"),
         ).compile(circuit)
     )
     assert program.contract_violations == ()

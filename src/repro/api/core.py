@@ -36,11 +36,7 @@ from repro.api.results import (
     SweepResult,
 )
 from repro.cache import Cache, open_cache
-from repro.compiler import (
-    OptimizationLevel,
-    set_warm_start_default,
-    warm_start_default,
-)
+from repro.compiler import CompileOptions, OptimizationLevel
 from repro.devices import all_devices, device_by_name
 from repro.devices.device import Device
 from repro.experiments.runner import (
@@ -143,17 +139,6 @@ def _resolve_device(device: Union[str, Device], day: int) -> Device:
 
 
 @contextmanager
-def _warm_start_scope(warm_start: bool):
-    """Set the process warm-start default for the call, then restore it."""
-    previous = warm_start_default()
-    set_warm_start_default(warm_start)
-    try:
-        yield
-    finally:
-        set_warm_start_default(previous)
-
-
-@contextmanager
 def _obs_session(obs: Optional[ObsConfig], tag: str, cache):
     """Observability around one compile/run call.
 
@@ -208,6 +193,46 @@ def _record_opt_metrics(obs_holder: List[Any], program) -> None:
     optimization_metrics_into(registry, program.opt_stats, program.opt)
 
 
+def _compile_result(
+    benchmark, built_circuit, correct, device, level, day,
+    options: CompileOptions, program, cache_hit, obs,
+) -> CompileResult:
+    """The typed result of one finished compile."""
+    return CompileResult(
+        benchmark=(
+            benchmark.name if isinstance(benchmark, Benchmark)
+            else benchmark
+        ),
+        device=device.name,
+        day=day,
+        compiler=compiler_label(level),
+        executable=program.executable(),
+        two_qubit_gates=program.two_qubit_gate_count(),
+        one_qubit_pulses=program.one_qubit_pulse_count(),
+        depth=program.depth(),
+        num_swaps=program.num_swaps,
+        compile_time_s=program.compile_time_s,
+        cache_key=artifact_key(
+            built_circuit, device, level, day=day, options=options
+        ),
+        cache_hit=cache_hit,
+        degraded=program.initial_mapping.degraded,
+        mapper_method=program.initial_mapping.method,
+        bound_shared=program.initial_mapping.bound_shared,
+        contract_violations=list(program.contract_violations),
+        opt=program.opt,
+        opt_gates_removed=sum(
+            row[3] - row[4] for row in program.opt_stats
+        ),
+        opt_two_qubit_removed=sum(
+            row[5] - row[6] for row in program.opt_stats
+        ),
+        correct=correct,
+        program=program,
+        obs=obs,
+    )
+
+
 def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     benchmark: Optional[Union[str, Benchmark]] = None,
     *,
@@ -240,6 +265,9 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     whose ``executable`` is byte-identical to what ``repro compile``
     emits.
     """
+    options = CompileOptions(
+        contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
+    )
     built_circuit, correct = build_program(
         benchmark=benchmark, scaffold=scaffold, defines=defines,
         circuit=circuit,
@@ -248,46 +276,15 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    with _warm_start_scope(warm_start):
-        with _obs_session(obs, obs_tag, cache) as obs_holder:
-            program, cache_hit = compile_with_cache(
-                built_circuit, resolved_device, resolved_level, day=day,
-                cache=cache, contracts=contracts, mapper=mapper, opt=opt,
-            )
-            _record_opt_metrics(obs_holder, program)
-    return CompileResult(
-        benchmark=(
-            benchmark.name if isinstance(benchmark, Benchmark)
-            else benchmark
-        ),
-        device=resolved_device.name,
-        day=day,
-        compiler=compiler_label(resolved_level),
-        executable=program.executable(),
-        two_qubit_gates=program.two_qubit_gate_count(),
-        one_qubit_pulses=program.one_qubit_pulse_count(),
-        depth=program.depth(),
-        num_swaps=program.num_swaps,
-        compile_time_s=program.compile_time_s,
-        cache_key=artifact_key(
+    with _obs_session(obs, obs_tag, cache) as obs_holder:
+        program, cache_hit = compile_with_cache(
             built_circuit, resolved_device, resolved_level, day=day,
-            contracts=contracts, mapper=mapper, opt=opt,
-        ),
-        cache_hit=cache_hit,
-        degraded=program.initial_mapping.degraded,
-        mapper_method=program.initial_mapping.method,
-        bound_shared=program.initial_mapping.bound_shared,
-        contract_violations=list(program.contract_violations),
-        opt=program.opt,
-        opt_gates_removed=sum(
-            row[3] - row[4] for row in program.opt_stats
-        ),
-        opt_two_qubit_removed=sum(
-            row[5] - row[6] for row in program.opt_stats
-        ),
-        correct=correct,
-        program=program,
-        obs=obs_holder[0],
+            cache=cache, options=options,
+        )
+        _record_opt_metrics(obs_holder, program)
+    return _compile_result(
+        benchmark, built_circuit, correct, resolved_device, resolved_level,
+        day, options, program, cache_hit, obs_holder[0],
     )
 
 
@@ -314,6 +311,9 @@ def run(
     ``monte_carlo_success_rate`` call ``repro run`` has always made
     (default seed, no memoization), so the floats match bit for bit.
     """
+    options = CompileOptions(
+        contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
+    )
     built_circuit, correct = build_program(benchmark=benchmark)
     if correct is None:
         raise ValueError(
@@ -323,53 +323,22 @@ def run(
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    with _warm_start_scope(warm_start):
-        with _obs_session(obs, obs_tag, cache) as obs_holder:
-            program, cache_hit = compile_with_cache(
-                built_circuit, resolved_device, resolved_level, day=day,
-                cache=cache, contracts=contracts, mapper=mapper, opt=opt,
-            )
-            _record_opt_metrics(obs_holder, program)
-            estimate = monte_carlo_success_rate(
-                program.circuit,
-                resolved_device,
-                correct,
-                day=day,
-                fault_samples=fault_samples,
-            )
-    compiled = CompileResult(
-        benchmark=(
-            benchmark.name if isinstance(benchmark, Benchmark)
-            else benchmark
-        ),
-        device=resolved_device.name,
-        day=day,
-        compiler=compiler_label(resolved_level),
-        executable=program.executable(),
-        two_qubit_gates=program.two_qubit_gate_count(),
-        one_qubit_pulses=program.one_qubit_pulse_count(),
-        depth=program.depth(),
-        num_swaps=program.num_swaps,
-        compile_time_s=program.compile_time_s,
-        cache_key=artifact_key(
+    with _obs_session(obs, obs_tag, cache) as obs_holder:
+        program, cache_hit = compile_with_cache(
             built_circuit, resolved_device, resolved_level, day=day,
-            contracts=contracts, mapper=mapper, opt=opt,
-        ),
-        cache_hit=cache_hit,
-        degraded=program.initial_mapping.degraded,
-        mapper_method=program.initial_mapping.method,
-        bound_shared=program.initial_mapping.bound_shared,
-        contract_violations=list(program.contract_violations),
-        opt=program.opt,
-        opt_gates_removed=sum(
-            row[3] - row[4] for row in program.opt_stats
-        ),
-        opt_two_qubit_removed=sum(
-            row[5] - row[6] for row in program.opt_stats
-        ),
-        correct=correct,
-        program=program,
-        obs=obs_holder[0],
+            cache=cache, options=options,
+        )
+        _record_opt_metrics(obs_holder, program)
+        estimate = monte_carlo_success_rate(
+            program.circuit,
+            resolved_device,
+            correct,
+            day=day,
+            fault_samples=fault_samples,
+        )
+    compiled = _compile_result(
+        benchmark, built_circuit, correct, resolved_device, resolved_level,
+        day, options, program, cache_hit, obs_holder[0],
     )
     return RunResult(
         compiled=compiled,
@@ -387,17 +356,23 @@ def sweep(
         OptimizationLevel.OPT_1QCN,
     ),
     benchmarks: Optional[Sequence[Union[str, Benchmark]]] = None,
+    *,
+    contracts: Optional[str] = None,
+    warm_start: bool = True,
+    mapper: str = "exact",
+    opt: str = "none",
     **kwargs: Any,
 ) -> SweepResult:
     """Measure a benchmark suite under several compilers on one device.
 
     A typed facade over
-    :func:`repro.experiments.parallel.run_sweep` — every engine keyword
-    (``workers``, ``cache``/``cache_dir``, ``base_seed``,
+    :func:`repro.experiments.parallel.run_sweep` — the compile knobs
+    (``contracts``, ``warm_start``, ``mapper``, ``opt``) become one
+    :class:`~repro.compiler.CompileOptions`, and every other engine
+    keyword (``workers``, ``cache``/``cache_dir``, ``base_seed``,
     ``task_timeout_s``, ``retries``, ``days``, ``skip_bad_days``,
-    ``run_id``, ``resume``, ``contracts``, ``obs``, ``warm_start``...)
-    passes straight through, so run ids and journal digests are
-    byte-identical to direct engine calls.
+    ``run_id``, ``resume``, ``obs``...) passes straight through, so run
+    ids and journal digests are byte-identical to direct engine calls.
 
     Passing ``workers_from`` (a fleet spec: ``"local:4"``, a
     comma-separated host list, or a hosts file path) routes the sweep
@@ -406,6 +381,9 @@ def sweep(
     two paths plan identically, so run ids, journals, and task digests
     are interchangeable between them.
     """
+    kwargs["options"] = CompileOptions(
+        contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
+    )
     workers_from = kwargs.pop("workers_from", None)
     if workers_from is not None:
         from repro.experiments.distributed import run_distributed_sweep
@@ -504,6 +482,7 @@ def check(
         resolve_compilers(list(levels)) if levels else list(OptimizationLevel)
     )
 
+    options = CompileOptions(contracts="warn", mapper=mapper, opt=opt)
     cells = 0
     violations: List[CheckCell] = []
     errors: List[CheckCell] = []
@@ -518,7 +497,7 @@ def check(
                 try:
                     program = compile_with(
                         built_circuit, dev, compiler, day=day,
-                        contracts="warn", mapper=mapper, opt=opt,
+                        options=options,
                     )
                 except Exception as exc:  # noqa: BLE001 - audit and go on
                     errors.append(
@@ -563,6 +542,7 @@ def compile_cache_key(
     ``(circuit, calibration, options)`` submissions onto one underlying
     job by comparing exactly this key.
     """
+    options = CompileOptions(contracts=contracts, mapper=mapper, opt=opt)
     built_circuit, _ = build_program(
         benchmark=benchmark, scaffold=scaffold, defines=defines,
         circuit=circuit,
@@ -572,9 +552,7 @@ def compile_cache_key(
         _resolve_device(device, day),
         resolve_level(level),
         day=day,
-        contracts=contracts,
-        mapper=mapper,
-        opt=opt,
+        options=options,
     )
 
 

@@ -41,10 +41,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cache import open_cache
-from repro.compiler import OptimizationLevel
+from repro.compiler import OPT_PRESETS, CompileOptions, OptimizationLevel
+from repro.contracts.mode import ContractMode
+from repro.smt import MAPPER_METHODS
 
 _EXPERIMENTS = (
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
@@ -96,10 +98,15 @@ def _add_warm_start_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _compile_knobs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The compile-knob keywords the flags ask for, validated once."""
+    knobs = CompileOptions.from_params(vars(args)).as_params()
+    return dict(knobs, warm_start=not args.no_warm_start)
+
+
 def _add_mapper_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--mapper", choices=["exact", "portfolio", "heuristic"],
-        default="exact",
+        "--mapper", choices=list(MAPPER_METHODS), default="exact",
         help="placement solver: exact (default) runs the SMT-style "
              "max-min search alone, portfolio races anytime heuristics "
              "against it under the wall budget, heuristic skips the "
@@ -110,7 +117,7 @@ def _add_mapper_arg(p: argparse.ArgumentParser) -> None:
 def _add_opt_arg(
     p: argparse.ArgumentParser, *, allow_sample: bool = False
 ) -> None:
-    choices = ["none", "basic", "full"]
+    choices = list(OPT_PRESETS)
     default = "none"
     extra = ""
     if allow_sample:
@@ -131,7 +138,8 @@ def _add_opt_arg(
 
 def _add_contract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--contracts", choices=["strict", "warn", "off"], default="off",
+        "--contracts", choices=[mode.value for mode in ContractMode],
+        default="off",
         help="pass-contract enforcement: strict aborts on a violated "
              "contract, warn records violations, off (default) skips "
              "the checks entirely",
@@ -214,10 +222,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         level=args.level,
         day=args.day,
         cache=_open_cli_cache(args),
-        contracts=args.contracts,
-        warm_start=not args.no_warm_start,
-        mapper=args.mapper,
-        opt=args.opt,
+        **_compile_knobs(args),
         obs=_cli_obs_config(args),
         obs_tag="compile",
     )
@@ -255,10 +260,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         day=args.day,
         fault_samples=args.fault_samples,
         cache=_open_cli_cache(args),
-        contracts=args.contracts,
-        warm_start=not args.no_warm_start,
-        mapper=args.mapper,
-        opt=args.opt,
+        **_compile_knobs(args),
         obs=_cli_obs_config(args),
         obs_tag="run",
     )
@@ -326,11 +328,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         skip_bad_days=args.skip_bad_days,
         run_id=run_id,
         resume=resume,
-        contracts=args.contracts,
         obs=_cli_obs_config(args),
-        warm_start=not args.no_warm_start,
-        mapper=args.mapper,
-        opt=args.opt,
+        **_compile_knobs(args),
         **distributed,
     )
     headers = ["Benchmark", "Compiler", "2Q", "1Q pulses", "Depth", "Swaps"]
@@ -474,6 +473,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     compilers = None
     if args.compilers:
         compilers = _parse_compilers(args.compilers)
+    sample_opt = args.opt == "sample"
     config = FuzzConfig(
         circuits=args.circuits,
         seed=args.seed,
@@ -482,11 +482,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         max_gates=args.max_gates,
         devices=devices,
         compilers=compilers,
-        contracts=args.contracts,
+        options=CompileOptions.from_params(
+            dict(vars(args), opt=None if sample_opt else args.opt)
+        ),
+        sample_opt=sample_opt,
         shrink=not args.no_shrink,
         artifact_dir=args.artifact_dir,
-        mapper=args.mapper,
-        opt=None if args.opt == "sample" else args.opt,
     )
     report = run_fuzz(config)
     for finding in report.findings:

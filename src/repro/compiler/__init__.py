@@ -18,7 +18,9 @@ The pipeline mirrors Figure 4:
    paper Table 1 glued end to end, producing a :class:`CompiledProgram`.
 
 :mod:`repro.compiler.passes` adds a Quilc-style fixed-point pass
-manager on top (the ``--opt {none,basic,full}`` presets).
+manager on top (the ``--opt {none,basic,full}`` presets), and
+:mod:`repro.compiler.options` bundles the post-paper knobs into one
+:class:`CompileOptions` value.
 """
 
 from repro.compiler.reliability import ReliabilityMatrix, compute_reliability
@@ -35,9 +37,8 @@ from repro.compiler.pipeline import (
     CompiledProgram,
     TriQCompiler,
     compile_circuit,
-    set_warm_start_default,
-    warm_start_default,
 )
+from repro.compiler.options import DEFAULT_OPTIONS, CompileOptions
 from repro.compiler.commute import commute_rotations_forward
 from repro.compiler.passes import (
     OPT_PRESETS,
@@ -68,6 +69,6 @@ __all__ = [
     "TriQCompiler",
     "compile_circuit",
     "commute_rotations_forward",
-    "set_warm_start_default",
-    "warm_start_default",
+    "CompileOptions",
+    "DEFAULT_OPTIONS",
 ]

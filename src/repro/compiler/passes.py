@@ -3,10 +3,10 @@
 Quilc-style (arXiv:2003.13961) circuit optimization organised as a
 :class:`PassManager` that iterates a pipeline of independent rewrite
 passes until the circuit stops changing (or a max-iteration guard
-trips).  The passes operate at the post-routing CNOT level — the same
-point in :class:`~repro.compiler.pipeline.TriQCompiler` where the ad-hoc
-peephole hook already runs — so the only 2Q gate they see in production
-is ``cx``; the commutation tables nevertheless cover ``cz``/``xx`` so
+trips).  The passes operate at the post-routing CNOT level of
+:class:`~repro.compiler.pipeline.TriQCompiler` — where routing
+artifacts are visible — so the only 2Q gate they see in production is
+``cx``; the commutation tables nevertheless cover ``cz``/``xx`` so
 the passes stay sound on arbitrary IR circuits (property tests, fuzzing).
 
 Passes:

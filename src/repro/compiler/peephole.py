@@ -12,9 +12,8 @@ self-inverse 1Q gates.  This pass removes them:
 * "adjacent" means no intervening instruction touches any shared qubit.
 
 The pass iterates to a fixed point, so cascades collapse fully.  It is
-semantics-preserving by construction and is available as the
-``peephole=True`` option of :class:`repro.compiler.TriQCompiler`
-(off by default to keep the paper's exact gate counts).
+semantics-preserving by construction and runs as the ``peephole`` pass
+of the ``--opt basic``/``full`` presets (:mod:`repro.compiler.passes`).
 """
 
 from __future__ import annotations

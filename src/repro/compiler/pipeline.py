@@ -15,7 +15,6 @@ from repro.ir.circuit import Circuit
 from repro.ir.instruction import Instruction
 from repro.ir.decompose import decompose_to_basis
 from repro.compiler.mapping import InitialMapping, default_mapping, smt_mapping
-from repro.smt import MAPPER_METHODS
 from repro.compiler.onequbit import count_pulses, optimize_single_qubit_gates
 from repro.compiler.reliability import ReliabilityMatrix, compute_reliability
 from repro.compiler.routing import route_circuit
@@ -27,33 +26,14 @@ from repro.compiler.translate import (
 # safe: repro.contracts.checks itself imports compiler submodules.
 from repro.contracts import checks as contract_checks
 from repro.contracts import inject as contract_inject
-from repro.contracts.errors import OptimizationConfigError
-from repro.contracts.mode import ContractMode, ContractRecorder
-from repro.compiler.passes import build_pass_manager, validate_preset
+from repro.contracts.mode import ContractRecorder
+from repro.compiler.options import DEFAULT_OPTIONS, CompileOptions
+from repro.compiler.passes import build_pass_manager
 # Only the tracer module: the pipeline must not pay for the metrics or
 # profiling imports, and obs_span is free when no tracer is active.
 from repro.obs.tracer import span as obs_span
 
 logger = logging.getLogger("repro.compiler")
-
-#: Process-wide default for mapper warm-starting.  ``TriQCompiler``
-#: instances constructed with ``warm_start=None`` consult this, which
-#: lets the CLI's ``--no-warm-start`` and the sweep engine's pool
-#: workers flip the behavior without threading a flag through every
-#: call site (and, crucially, without touching ``SweepTask`` — task
-#: identity, and with it every journal digest, stays unchanged).
-_WARM_START_DEFAULT = True
-
-
-def set_warm_start_default(enabled: bool) -> None:
-    """Set the process-wide mapper warm-start default."""
-    global _WARM_START_DEFAULT
-    _WARM_START_DEFAULT = bool(enabled)
-
-
-def warm_start_default() -> bool:
-    """The process-wide mapper warm-start default."""
-    return _WARM_START_DEFAULT
 
 
 class OptimizationLevel(str, enum.Enum):
@@ -103,7 +83,7 @@ class CompiledProgram:
     contract_violations: Tuple[str, ...] = ()
     #: Optimization preset the compile ran with ("none" when the pass
     #: manager was not engaged).
-    opt: str = "none"
+    opt: str = DEFAULT_OPTIONS.opt
     #: Per-pass accounting rows from the pass manager — ``(pass, runs,
     #: rewrites, gates_in, gates_out, two_qubit_in, two_qubit_out,
     #: wall_s)`` — empty at ``opt="none"``.
@@ -280,33 +260,12 @@ class TriQCompiler:
         node_limit: int = 200_000,
         time_limit_s: Optional[float] = 30.0,
         router: str = "basic",
-        peephole: bool = False,
-        commute: bool = False,
-        contracts: Union[ContractMode, str, None] = None,
-        warm_start: Optional[bool] = None,
-        mapper: str = "exact",
-        opt: str = "none",
+        options: CompileOptions = DEFAULT_OPTIONS,
     ) -> None:
         if router not in ("basic", "lookahead"):
             raise ValueError(
                 f"unknown router {router!r}; choose 'basic' (per-gate "
                 "most-reliable path, the paper's) or 'lookahead'"
-            )
-        if mapper not in MAPPER_METHODS:
-            raise ValueError(
-                f"unknown mapper {mapper!r}; choose from {MAPPER_METHODS}"
-            )
-        validate_preset(opt)
-        if commute and not level.optimizes_1q:
-            # Historically this combination was accepted and silently
-            # did nothing: the commute hook is nested under the 1Q
-            # optimizer, which level N skips entirely.
-            raise OptimizationConfigError(
-                f"commute=True has no effect at level "
-                f"{getattr(level, 'value', level)!r}: the commutation "
-                "pass only runs inside the 1Q optimizer, which this "
-                "level skips",
-                device=device.name,
             )
         self.device = device
         self.level = level
@@ -314,29 +273,12 @@ class TriQCompiler:
         self.node_limit = node_limit
         self.time_limit_s = time_limit_s
         self.router = router
-        #: Mapping solver backend: "exact" (branch-and-bound, the
-        #: paper's), "portfolio" (anytime race, bit-identical to exact
-        #: whenever exact finishes), or "heuristic" (greedy+annealing).
-        self.mapper = mapper
-        #: Optional post-routing cleanup (off by default so gate counts
-        #: match the paper's pipeline exactly).
-        self.peephole = peephole
-        #: Optional commutation-aware rotation motion before the 1Q
-        #: optimizer (off by default for the same reason).
-        self.commute = commute
-        #: Fixed-point pass-manager preset ("none" keeps the paper's
-        #: pipeline byte-identical; see repro.compiler.passes).
-        self.opt = opt
-        #: Pass-contract enforcement (strict / warn / off; default off
-        #: — checks cost time, see benchmarks/test_perf_contracts.py).
-        self.contracts = ContractMode.coerce(contracts)
-        #: Mapper warm-starting (None: follow the process default).
-        #: Only takes effect when a cache is active: hints are stored
-        #: under a calibration-free key so a placement solved on one
-        #: day seeds the solver's bound on every other day.
-        self.warm_start = (
-            warm_start_default() if warm_start is None else bool(warm_start)
-        )
+        #: Contracts, mapper backend, pass-manager preset and warm
+        #: starts (see :class:`repro.compiler.options.CompileOptions`).
+        #: Warm hints only take effect when a cache is active: they are
+        #: stored under a calibration-free key so a placement solved on
+        #: one day seeds the solver's bound on every other day.
+        self.options = options
         #: Whether the most recent :meth:`map_qubits` consumed a hint
         #: (surfaced on the ``map`` obs span).
         self.last_map_warm_started = False
@@ -373,7 +315,7 @@ class TriQCompiler:
         every other day.  Anything malformed in a stored payload is
         treated as a miss — the hint layer must never fail a compile.
         """
-        if not self.warm_start:
+        if not self.options.warm_start:
             return None, None, None
         cache = get_active_cache()
         if cache is None or not cache.enabled:
@@ -414,7 +356,7 @@ class TriQCompiler:
                 node_limit=self.node_limit,
                 time_limit_s=self.time_limit_s,
                 warm_hint=hint,
-                mapper=self.mapper,
+                mapper=self.options.mapper,
             )
         except Exception:  # noqa: BLE001 - degrade, don't abort
             logger.warning(
@@ -447,12 +389,13 @@ class TriQCompiler:
         can deliberately corrupt one stage to prove the checks fire.
         """
         started = time.monotonic()
-        recorder = ContractRecorder(self.contracts)
+        options = self.options
+        recorder = ContractRecorder(options.contracts)
         # The corruption hook only fires when contracts are enabled: it
         # exists to prove the checks catch a broken pass, so with the
         # checks off it must not perturb compilation at all.
         injecting = (
-            self.contracts.enabled
+            options.contracts.enabled
             and contract_inject.injected_stage() is not None
         )
         device = self.device
@@ -475,7 +418,7 @@ class TriQCompiler:
                         solver_time_s=mapping.solver_time_s,
                         degraded=mapping.degraded,
                         warm_started=self.last_map_warm_started,
-                        mapper=self.mapper,
+                        mapper=options.mapper,
                         method=mapping.method,
                         bound_shared=mapping.bound_shared,
                         bound_trajectory=[
@@ -529,24 +472,15 @@ class TriQCompiler:
                 lambda: contract_checks.check_scheduling(decomposed, routed, device)
             )
             routed_circuit = routed.circuit
-            if self.peephole:
-                from repro.compiler.peephole import cancel_adjacent_gates
-                from repro.ir.decompose import decompose_to_basis as _lower
-
-                # Cancel at the CNOT level, where routing artifacts (swap
-                # chains meeting their gate) are visible.
-                with obs_span("peephole"):
-                    routed_circuit = cancel_adjacent_gates(_lower(routed_circuit))
             opt_stats: Tuple[Tuple[Any, ...], ...] = ()
-            if self.opt != "none":
-                from repro.ir.decompose import decompose_to_basis as _lower
-
-                # Optimize at the same CNOT level as the peephole hook:
-                # routing and scheduling contracts have already run, and
-                # the end-to-end semantics check still covers the result.
-                manager = build_pass_manager(self.opt, device=device.name)
-                with obs_span("optimize", preset=self.opt) as sp:
-                    lowered = _lower(routed_circuit)
+            if options.opt != "none":
+                # Optimize at the CNOT level, where routing artifacts
+                # (swap chains meeting their gate) are visible: routing
+                # and scheduling contracts have already run, and the
+                # end-to-end semantics check still covers the result.
+                manager = build_pass_manager(options.opt, device=device.name)
+                with obs_span("optimize", preset=options.opt) as sp:
+                    lowered = decompose_to_basis(routed_circuit)
                     routed_circuit = manager.run(lowered, recorder=recorder)
                     if sp:
                         sp.set(
@@ -568,16 +502,6 @@ class TriQCompiler:
                 translated = contract_inject.maybe_corrupt_translated(translated)
             with obs_span("1qopt", optimizing=self.level.optimizes_1q) as sp:
                 if self.level.optimizes_1q:
-                    if self.commute:
-                        from repro.compiler.commute import (
-                            commute_rotations_forward,
-                        )
-
-                        # Commuting rotations across 2Q gates reorders
-                        # runs, so the 1Q contract's baseline is the
-                        # post-commute circuit (the commute pass itself is
-                        # covered by the end-to-end semantics check).
-                        translated = commute_rotations_forward(translated)
                     final = optimize_single_qubit_gates(
                         translated, self.device.gate_set
                     )
@@ -589,7 +513,7 @@ class TriQCompiler:
                 final = contract_inject.maybe_corrupt_final(
                     final, self.device.gate_set
                 )
-            with obs_span("contracts", mode=self.contracts.value):
+            with obs_span("contracts", mode=options.contracts.value):
                 recorder.run(
                     lambda: contract_checks.check_onequbit(translated, final, device)
                 )
@@ -618,7 +542,7 @@ class TriQCompiler:
             num_swaps=routed.num_swaps,
             compile_time_s=elapsed,
             contract_violations=tuple(recorder.violations),
-            opt=self.opt,
+            opt=options.opt,
             opt_stats=opt_stats,
         )
 

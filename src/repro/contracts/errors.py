@@ -228,17 +228,6 @@ class PassConvergenceError(ContractError, RuntimeError):
     )
 
 
-class OptimizationConfigError(ContractError, ValueError):
-    """An optimization knob combination that silently does nothing."""
-
-    code = "OPT004"
-    pass_name = "pass-manager"
-    default_hint = (
-        "commute=True only takes effect at levels with 1Q "
-        "optimization; use level TriQ-1QOpt or above, or --opt full"
-    )
-
-
 ERROR_CODES = {
     "MAP001": MappingContractError,
     "MAP002": MapperDivergenceError,
@@ -253,5 +242,4 @@ ERROR_CODES = {
     "OPT001": PassDistributionError,
     "OPT002": PassMonotonicityError,
     "OPT003": PassConvergenceError,
-    "OPT004": OptimizationConfigError,
 }

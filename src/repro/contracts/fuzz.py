@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.compiler.options import CompileOptions
+from repro.compiler.passes import OPT_PRESETS
 from repro.contracts.checks import compact_circuit
 from repro.contracts.errors import ContractError
-from repro.contracts.mode import ContractMode
 from repro.ir.circuit import Circuit
 from repro.ir.decompose import decompose_to_basis
 from repro.ir.instruction import Instruction
@@ -58,6 +59,10 @@ _TWO_Q = ("cx", "cx", "cz", "swap")
 #: Large odd multiplier decorrelating per-circuit RNG streams.
 _SEED_STRIDE = 1_000_003
 
+#: Fuzzing's default compile options: strict contracts, otherwise the
+#: paper's pipeline.
+STRICT_OPTIONS = CompileOptions(contracts="strict")
+
 
 @dataclass
 class FuzzConfig:
@@ -74,7 +79,12 @@ class FuzzConfig:
     #: Compiler labels (TriQ levels and/or "Qiskit"/"Quil"); None means
     #: all four TriQ levels plus both vendor baselines.
     compilers: Optional[Sequence[Any]] = None
-    contracts: Union[ContractMode, str] = ContractMode.STRICT
+    #: Compile options for every attempt.  A "portfolio" mapper also
+    #: exercises the MAP002 heuristic-vs-exact divergence check.
+    options: CompileOptions = STRICT_OPTIONS
+    #: Draw each circuit's ``opt`` preset from its own RNG, after the
+    #: circuit, so the generated circuits match a fixed-preset run's.
+    sample_opt: bool = False
     #: Total-variation tolerance of the differential cross-check.
     atol: float = 1e-6
     shrink: bool = True
@@ -82,15 +92,6 @@ class FuzzConfig:
     max_shrink_attempts: int = 200
     #: Where reproducer JSON artifacts go; None disables writing.
     artifact_dir: Optional[Union[str, Path]] = None
-    #: Placement solver for TriQ compiles ("exact"/"portfolio"/
-    #: "heuristic"); portfolio runs also exercise the MAP002
-    #: heuristic-vs-exact divergence check.
-    mapper: str = "exact"
-    #: Pass-manager preset for TriQ compiles ("none"/"basic"/"full");
-    #: None samples a preset per circuit from the circuit's own RNG,
-    #: so the optimizer is fuzzed alongside the base pipeline without
-    #: changing which circuits are generated.
-    opt: Optional[str] = "none"
 
 
 @dataclass
@@ -186,32 +187,25 @@ def classify(
     circuit: Circuit,
     device,
     compiler,
-    contracts: Union[ContractMode, str] = ContractMode.STRICT,
+    options: CompileOptions = STRICT_OPTIONS,
     atol: float = 1e-6,
-    mapper: str = "exact",
-    opt: str = "none",
 ) -> Optional[Tuple[str, str]]:
     """Compile one circuit and classify the outcome.
 
     Returns ``(kind, error)`` for a failure, or None when the circuit
     compiles cleanly and the compiled program's ideal distribution
-    matches the source's.  ``mapper`` selects the placement solver for
-    TriQ compiles; portfolio compiles additionally classify MAP002
-    heuristic-vs-exact divergences as contract findings.  ``opt``
-    selects the pass-manager preset, so a miscompiling rewrite surfaces
-    as a differential finding even with contracts off.
+    matches the source's.  A portfolio mapper additionally classifies
+    MAP002 heuristic-vs-exact divergences as contract findings; an
+    engaged pass-manager preset surfaces a miscompiling rewrite as a
+    differential finding even with contracts off.
     """
     # Deferred: the runner drags in the device library and cache stack.
     from repro.experiments.runner import compile_with
     from repro.sim import ideal_distribution
     from repro.verify import distribution_distance
 
-    mode = ContractMode.coerce(contracts)
     try:
-        program = compile_with(
-            circuit, device, compiler, contracts=mode, mapper=mapper,
-            opt=opt,
-        )
+        program = compile_with(circuit, device, compiler, options=options)
     except ContractError as exc:
         return ("contract", exc.summary())
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
@@ -242,11 +236,9 @@ def shrink_circuit(
     device,
     compiler,
     kind: str,
-    contracts: Union[ContractMode, str] = ContractMode.STRICT,
+    options: CompileOptions = STRICT_OPTIONS,
     atol: float = 1e-6,
     max_attempts: int = 200,
-    mapper: str = "exact",
-    opt: str = "none",
 ) -> Circuit:
     """Greedy one-at-a-time instruction deletion preserving ``kind``.
 
@@ -273,8 +265,7 @@ def shrink_circuit(
                 continue
             attempts += 1
             outcome = classify(
-                candidate, device, compiler, contracts=contracts, atol=atol,
-                mapper=mapper, opt=opt,
+                candidate, device, compiler, options=options, atol=atol
             )
             if outcome is not None and outcome[0] == kind:
                 current = candidate_insts
@@ -289,10 +280,8 @@ def write_reproducer(
     path: Union[str, Path],
     circuit: Circuit,
     finding: FuzzFinding,
-    contracts: Union[ContractMode, str],
+    options: CompileOptions,
     atol: float,
-    mapper: str = "exact",
-    opt: str = "none",
 ) -> Path:
     """Write one finding's replayable JSON artifact."""
     path = Path(path)
@@ -302,10 +291,10 @@ def write_reproducer(
         "kind": finding.kind,
         "device": finding.device,
         "compiler": finding.compiler,
-        "contracts": ContractMode.coerce(contracts).value,
+        "contracts": options.contracts.value,
         "atol": atol,
-        "mapper": mapper,
-        "opt": opt,
+        "mapper": options.mapper,
+        "opt": options.opt,
         "circuit_index": finding.circuit_index,
         "error": finding.error,
         "original_instructions": finding.original_instructions,
@@ -324,14 +313,11 @@ def replay_reproducer(path: Union[str, Path]) -> Optional[Tuple[str, str]]:
     circuit = circuit_from_payload(payload["circuit"])
     device = device_by_name(payload["device"], day=0)
     compiler = resolve_compiler(payload["compiler"])
+    # Artifacts predating the mapper/opt knobs simply lack them.
+    options = CompileOptions.from_params({"contracts": "strict", **payload})
     return classify(
-        circuit,
-        device,
-        compiler,
-        contracts=payload.get("contracts", "strict"),
+        circuit, device, compiler, options=options,
         atol=payload.get("atol", 1e-6),
-        mapper=payload.get("mapper", "exact"),
-        opt=payload.get("opt", "none"),
     )
 
 
@@ -354,7 +340,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     else:
         compilers = [resolve_compiler(compiler_label(c)) for c in config.compilers]
 
-    mode = ContractMode.coerce(config.contracts)
     attempts = 0
     findings: List[FuzzFinding] = []
     for index in range(config.circuits):
@@ -365,20 +350,18 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             rng, num_qubits, num_gates, name=f"fuzz-{config.seed}-{index}"
         )
         # Sampled *after* generation from the same per-circuit RNG, so
-        # opt=None fuzzes the same circuits a fixed-preset run sees.
-        opt = (
-            config.opt
-            if config.opt is not None
-            else rng.choice(("none", "basic", "full"))
-        )
+        # sampling fuzzes the same circuits a fixed-preset run sees.
+        options = config.options
+        if config.sample_opt:
+            options = replace(options, opt=rng.choice(OPT_PRESETS))
         for device in devices:
             if circuit.num_qubits > device.num_qubits:
                 continue
             for compiler in compilers:
                 attempts += 1
                 outcome = classify(
-                    circuit, device, compiler, contracts=mode,
-                    atol=config.atol, mapper=config.mapper, opt=opt,
+                    circuit, device, compiler, options=options,
+                    atol=config.atol,
                 )
                 if outcome is None:
                     continue
@@ -391,11 +374,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                         device,
                         compiler,
                         kind,
-                        contracts=mode,
+                        options=options,
                         atol=config.atol,
                         max_attempts=config.max_shrink_attempts,
-                        mapper=config.mapper,
-                        opt=opt,
                     )
                 finding = FuzzFinding(
                     kind=kind,
@@ -413,10 +394,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                         / f"fuzz-{config.seed}-{index}-{safe_device}-{label}.json",
                         reduced,
                         finding,
-                        mode,
+                        options,
                         config.atol,
-                        mapper=config.mapper,
-                        opt=opt,
                     )
                     finding.artifact_path = str(artifact)
                 findings.append(finding)

@@ -214,7 +214,7 @@ def _bench_pass_manager(repeats: int, fault_samples: int = 50) -> Dict[str, floa
     benchmark, the optimized 2Q count never exceeds the unoptimized
     one.
     """
-    from repro.compiler import OptimizationLevel, compile_circuit
+    from repro.compiler import CompileOptions, OptimizationLevel, compile_circuit
     from repro.devices import ibmq16_rueschlikon
     from repro.experiments.runner import fits
     from repro.programs import standard_suite
@@ -230,7 +230,8 @@ def _bench_pass_manager(repeats: int, fault_samples: int = 50) -> Dict[str, floa
     def compile_suite(opt):
         return {
             name: compile_circuit(
-                circuit, device, level=OptimizationLevel.OPT_1QCN, opt=opt
+                circuit, device, level=OptimizationLevel.OPT_1QCN,
+                options=CompileOptions(opt=opt),
             )
             for name, circuit, _ in suite
         }

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.cache import Cache, CompileCache, open_cache
-from repro.contracts.mode import ContractMode
+from repro.compiler import DEFAULT_OPTIONS, CompileOptions
 from repro.devices.device import Device
 from repro.experiments.distributed.coordinator import (
     Coordinator,
@@ -145,7 +145,6 @@ class DistributedSweep:
         port: int = 0,
         lease_ttl_s: float = 30.0,
         worker_wait_s: float = 60.0,
-        warm_start: bool = True,
         spawn_local: bool = True,
     ) -> None:
         self.plan = plan
@@ -154,7 +153,6 @@ class DistributedSweep:
         self.cache = cache
         self.lease_ttl_s = lease_ttl_s
         self.worker_wait_s = worker_wait_s
-        self.warm_start = warm_start
         self.spawn_local = spawn_local
         self.state = CoordinatorState(
             plan, journal, policy, lease_ttl_s=lease_ttl_s
@@ -180,7 +178,8 @@ class DistributedSweep:
         ]
         if isinstance(self.cache, CompileCache):
             command += ["--cache-dir", str(self.cache.root)]
-        if not self.warm_start:
+        # Workers take the other knobs from each leased task.
+        if not self.plan.options.warm_start:
             command.append("--no-warm-start")
         return command
 
@@ -373,10 +372,7 @@ def run_distributed_sweep(
     run_id: Optional[str] = None,
     resume: bool = False,
     journal_dir=None,
-    contracts: Union[ContractMode, str, None] = None,
-    warm_start: bool = True,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
     host: str = "127.0.0.1",
     port: int = 0,
     lease_ttl_s: float = 30.0,
@@ -414,9 +410,7 @@ def run_distributed_sweep(
         skip_bad_days=skip_bad_days,
         run_id=run_id,
         journal_dir=journal_dir,
-        contracts=contracts,
-        mapper=mapper,
-        opt=opt,
+        options=options,
     )
 
     def fallback(reason: str, can_resume: bool) -> SweepReport:
@@ -439,10 +433,7 @@ def run_distributed_sweep(
             run_id=plan.run_id,
             resume=can_resume,
             journal_dir=journal_dir,
-            contracts=contracts,
-            warm_start=warm_start,
-            mapper=mapper,
-            opt=opt,
+            options=options,
         )
         report.fallback_reason = (
             reason
@@ -488,7 +479,6 @@ def run_distributed_sweep(
         port=port,
         lease_ttl_s=lease_ttl_s,
         worker_wait_s=worker_wait_s,
-        warm_start=warm_start,
         spawn_local=spawn_local,
     )
     sweep.state.prefill(prefill)

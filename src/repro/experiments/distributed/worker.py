@@ -38,7 +38,7 @@ import traceback
 from typing import Optional
 
 from repro.cache import ShardedCache, activate_cache
-from repro.compiler import set_warm_start_default
+from repro.compiler import DEFAULT_OPTIONS
 from repro.experiments.distributed.protocol import (
     CoordinatorUnreachable,
     call,
@@ -110,7 +110,7 @@ def run_worker(
     cache_dir=None,
     worker_id: Optional[str] = None,
     poll_s: float = 0.2,
-    warm_start: bool = True,
+    warm_start: bool = DEFAULT_OPTIONS.warm_start,
     max_connection_failures: int = DEFAULT_MAX_CONNECTION_FAILURES,
 ) -> int:
     """Serve one coordinator until its sweep drains; the exit code.
@@ -119,14 +119,15 @@ def run_worker(
     sweep done, :data:`WORKER_EXIT_ORPHANED` after
     ``max_connection_failures`` consecutive transport failures (a dead
     or unreachable coordinator must not leave worker processes spinning
-    on every host).
+    on every host).  ``warm_start`` is this worker's own mapper
+    warm-start setting; every other compile knob arrives on each leased
+    task.
     """
     worker_id = worker_id or default_worker_id()
     if cache_dir is not None:
         activate_cache(
             ShardedCache(cache_dir, _shard_namespace(worker_id))
         )
-    set_warm_start_default(warm_start)
     logger.info("worker %s serving %s", worker_id, coordinator_url)
     failures = 0
     while True:
@@ -170,7 +171,9 @@ def run_worker(
             )
             heartbeat.start()
         try:
-            measurement, report = run_task(task, attempt=attempt)
+            measurement, report = run_task(
+                task, attempt=attempt, warm_start=warm_start
+            )
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             if heartbeat is not None:
                 heartbeat.stop()

@@ -37,7 +37,11 @@ def task_digest(task) -> str:
     ``contracts`` field only joins the digest when a mode is enabled,
     so journals written before the contracts layer existed still
     resume contract-off sweeps; the ``mapper`` field likewise only
-    joins when a non-default (non-exact) mapper is selected.
+    joins when a non-default (non-exact) mapper is selected.  The
+    ``opt`` field is *not* dropped: every digest since the pass manager
+    landed hashes it, ``"opt": None`` included, so digests from before
+    that field existed differ — and today's journals depend on it
+    staying in (see :mod:`repro.compiler.options`).
     """
     payload = dataclasses.asdict(task)
     if not payload.get("contracts"):

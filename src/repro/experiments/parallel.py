@@ -67,11 +67,7 @@ from repro.experiments.faults import (
     TaskFailure,
     maybe_inject_fault,
 )
-from repro.compiler import (
-    set_warm_start_default,
-    warm_start_default,
-)
-from repro.contracts.mode import ContractMode
+from repro.compiler import DEFAULT_OPTIONS, CompileOptions
 from repro.experiments.journal import SweepJournal
 from repro.experiments.plan import (
     SweepTask,
@@ -212,26 +208,11 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Task execution (runs in pool workers and in the serial fallback).
 # ----------------------------------------------------------------------
-def _init_worker(cache_dir, warm_start: bool = True) -> None:
-    """Pool initializer: open this process's handle onto the shared store.
-
-    ``warm_start`` is process-level compiler configuration, not task
-    identity — it provably cannot change a task's achievable mapping
-    objective (see :meth:`repro.smt.MaxMinSolver.solve`), so it rides
-    here rather than on :class:`SweepTask`, keeping task digests (and
-    with them journal compatibility and resume) unchanged.
-    """
-    activate_cache(open_cache(cache_dir) if cache_dir is not None else None)
-    set_warm_start_default(warm_start)
-
-
-def run_task(task: SweepTask, attempt: int = 1) -> Tuple[Measurement, TaskReport]:
-    """Execute one grid cell using this process's active cache."""
-    started = time.perf_counter()
-    maybe_inject_fault(task.benchmark, attempt)
-    benchmark = benchmark_by_name(task.benchmark)
-    device = device_by_name(task.device, day=task.day or 0)
-    measurement = measure(
+def _measure_task(
+    task: SweepTask, benchmark, device, cache, warm_start: bool, built=None
+) -> Measurement:
+    """Measure one cell exactly as its task describes it."""
+    return measure(
         benchmark,
         device,
         resolve_compiler(task.compiler),
@@ -240,10 +221,29 @@ def run_task(task: SweepTask, attempt: int = 1) -> Tuple[Measurement, TaskReport
         with_success=task.with_success,
         seed=task.compile_seed,
         mc_seed=task.mc_seed,
-        cache=get_active_cache(),
-        contracts=task.contracts,
-        mapper=task.mapper or "exact",
-        opt=task.opt or "none",
+        built=built,
+        cache=cache,
+        options=CompileOptions.from_task(task, warm_start=warm_start),
+    )
+
+
+def run_task(
+    task: SweepTask, attempt: int = 1, *, warm_start: bool
+) -> Tuple[Measurement, TaskReport]:
+    """Execute one grid cell using this process's active cache.
+
+    ``warm_start`` is the worker's own setting, not task identity: it
+    cannot change a mapping (see :meth:`repro.smt.MaxMinSolver.solve`),
+    so it stays off :class:`SweepTask` and out of task digests.
+    """
+    started = time.perf_counter()
+    maybe_inject_fault(task.benchmark, attempt)
+    measurement = _measure_task(
+        task,
+        benchmark_by_name(task.benchmark),
+        device_by_name(task.device, day=task.day or 0),
+        get_active_cache(),
+        warm_start,
     )
     report = TaskReport(
         benchmark=task.benchmark,
@@ -295,8 +295,7 @@ def _worker_obs(obs_spec: ObsSpec):
 
 
 def _pool_worker(
-    inbox, results, cache_dir, obs_spec: ObsSpec = None,
-    warm_start: bool = True,
+    inbox, results, cache_dir, obs_spec: ObsSpec, warm_start: bool
 ) -> None:
     """Worker loop: run task envelopes until the None sentinel arrives.
 
@@ -304,7 +303,7 @@ def _pool_worker(
     kill the worker; only hard crashes (``os._exit``, signals, the OOM
     killer) do, and the supervisor detects those by liveness.
     """
-    _init_worker(cache_dir, warm_start)
+    activate_cache(open_cache(cache_dir) if cache_dir is not None else None)
     with _worker_obs(obs_spec):
         while True:
             envelope = inbox.get()
@@ -312,7 +311,9 @@ def _pool_worker(
                 return
             seq, task, attempt = envelope
             try:
-                outcome = run_task(task, attempt=attempt)
+                outcome = run_task(
+                    task, attempt=attempt, warm_start=warm_start
+                )
             except Exception as exc:  # noqa: BLE001 - isolate, report, survive
                 results.put(
                     (
@@ -444,11 +445,8 @@ def run_sweep(
     run_id: Optional[str] = None,
     resume: bool = False,
     journal_dir=None,
-    contracts: Union[ContractMode, str, None] = None,
     obs: Optional[ObsConfig] = None,
-    warm_start: bool = True,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> SweepReport:
     """Measure a benchmark suite under several compilers on one device.
 
@@ -480,33 +478,11 @@ def run_sweep(
             recomputing them (``repro sweep --resume``).
         journal_dir: where journals live; defaults to
             ``<cache-dir>/journals`` when a disk cache is in play.
-        contracts: pass-contract mode for every cell.  ``"strict"``
-            turns a violated contract into a task failure; ``"warn"``
-            records violations in each cell's
-            ``Measurement.contract_violations``; off (the default)
-            keeps the pre-contracts hot path, cache keys and journal
-            digests byte-identical.
-        warm_start: seed each cell's mapping solver with placements
-            cached from other calibration days of the same circuit
-            (``--no-warm-start`` disables).  Purely an execution-speed
-            knob: the hint is bound-only, so a cell returns the
-            bit-identical placement (and therefore measurements) warm
-            or cold; it joins neither cache keys nor task digests, and
-            multi-day sweeps stay resumable across the flag.
-        mapper: placement solver backend for every cell — "exact" (the
-            default branch-and-bound), "portfolio" (anytime heuristics
-            raced against exact, bit-identical whenever exact
-            finishes), or "heuristic" (greedy + annealing only).
-            Unlike ``warm_start`` a non-exact mapper *can* change
-            placements, so it rides on each :class:`SweepTask` and
-            joins cache keys, task digests and the run id; the exact
-            default leaves all of them byte-identical to
-            pre-portfolio sweeps.
-        opt: fixed-point pass-manager preset for every cell — "none"
-            (the default, byte-identical to pre-pass-manager sweeps),
-            "basic", or "full" (see :mod:`repro.compiler.passes`).
-            Like ``mapper`` it rides on each :class:`SweepTask` and
-            joins cache keys, task digests and the run id when engaged.
+        options: compile options for every cell (see
+            :class:`repro.compiler.CompileOptions`).  Strict contracts
+            turn a violation into a task failure; warn records it in
+            ``Measurement.contract_violations``.  ``warm_start`` only
+            changes speed, never a measurement, key or digest.
         obs: observability configuration (``repro sweep --profile``).
             When enabled the supervisor and every worker record span
             traces (merged into ``<obs-dir>/trace.json``), sweep
@@ -536,9 +512,7 @@ def run_sweep(
         skip_bad_days=skip_bad_days,
         run_id=run_id,
         journal_dir=journal_dir,
-        contracts=contracts,
-        mapper=mapper,
-        opt=opt,
+        options=options,
     )
     device = plan.device
     fitting = plan.fitting
@@ -594,11 +568,6 @@ def run_sweep(
         if obs_active is not None and obs_active.profile
         else None
     )
-    # The serial fallback (and any in-process compile) follows the
-    # process-wide warm-start default; set it for the duration of the
-    # sweep and restore the caller's value after.
-    caller_warm_start = warm_start_default()
-    set_warm_start_default(warm_start)
     try:
         with tracer_context(supervisor_tracer), \
                 cprofile_to(supervisor_profile):
@@ -612,7 +581,7 @@ def run_sweep(
             if fallback_reason is None:
                 pool_outcome = _run_pool(
                     todo, tasks, digests, workers, cache, policy, journal,
-                    obs_spec, warm_start,
+                    obs_spec, options.warm_start,
                 )
                 if pool_outcome is None:
                     fallback_reason = (
@@ -631,13 +600,12 @@ def run_sweep(
                     )
                 serial_results, failures = _run_serial(
                     todo, tasks, digests, device, fitting, cache, policy,
-                    journal,
+                    journal, options.warm_start,
                 )
                 results.update(serial_results)
             if supervisor_tracer is not None:
                 supervisor_tracer.finish()
     finally:
-        set_warm_start_default(caller_warm_start)
         if journal is not None:
             journal.close()
 
@@ -680,6 +648,7 @@ def _run_serial(
     cache: Optional[Cache],
     policy: RetryPolicy,
     journal: Optional[SweepJournal],
+    warm_start: bool,
 ) -> Tuple[Dict[int, Tuple[Measurement, TaskReport]], List[TaskFailure]]:
     """Run tasks in-process, with retries and structured failures.
 
@@ -697,20 +666,8 @@ def _run_serial(
             try:
                 maybe_inject_fault(task.benchmark, attempt)
                 benchmark, built = by_name[task.benchmark]
-                measurement = measure(
-                    benchmark,
-                    device,
-                    resolve_compiler(task.compiler),
-                    day=task.day,
-                    fault_samples=task.fault_samples,
-                    with_success=task.with_success,
-                    seed=task.compile_seed,
-                    mc_seed=task.mc_seed,
-                    built=built,
-                    cache=cache,
-                    contracts=task.contracts,
-                    mapper=task.mapper or "exact",
-                    opt=task.opt or "none",
+                measurement = _measure_task(
+                    task, benchmark, device, cache, warm_start, built
                 )
             except Exception as exc:  # noqa: BLE001 - task isolation
                 elapsed = time.perf_counter() - task_started
@@ -765,8 +722,8 @@ class _Worker:
     """One pool worker process plus its private dispatch queue."""
 
     def __init__(
-        self, ctx, result_queue, cache_dir, obs_spec: ObsSpec = None,
-        warm_start: bool = True,
+        self, ctx, result_queue, cache_dir, obs_spec: ObsSpec,
+        warm_start: bool,
     ) -> None:
         self.inbox = ctx.Queue()
         self.process = ctx.Process(
@@ -820,8 +777,8 @@ def _run_pool(
     cache: Optional[Cache],
     policy: RetryPolicy,
     journal: Optional[SweepJournal],
-    obs_spec: ObsSpec = None,
-    warm_start: bool = True,
+    obs_spec: ObsSpec,
+    warm_start: bool,
 ) -> Optional[Tuple[Dict[int, Tuple[Measurement, TaskReport]], List[TaskFailure]]]:
     """Execute tasks on a supervised pool; None if the pool cannot start.
 
@@ -835,10 +792,11 @@ def _run_pool(
     try:
         ctx = multiprocessing.get_context()
         result_queue = ctx.Queue()
-        pool = [
-            _Worker(ctx, result_queue, cache_dir, obs_spec, warm_start)
-            for _ in range(min(workers, len(todo)))
-        ]
+
+        def spawn() -> _Worker:
+            return _Worker(ctx, result_queue, cache_dir, obs_spec, warm_start)
+
+        pool = [spawn() for _ in range(min(workers, len(todo)))]
     except _POOL_START_ERRORS:
         return None
 
@@ -963,10 +921,7 @@ def _run_pool(
                             time.monotonic() - dispatched,
                         )
                         worker.destroy()
-                        pool[slot] = _Worker(
-                            ctx, result_queue, cache_dir, obs_spec,
-                            warm_start,
-                        )
+                        pool[slot] = spawn()
                     elif deadline is not None and time.monotonic() > deadline:
                         settle(
                             seq, attempt, "timeout", "TaskTimeout",
@@ -975,16 +930,11 @@ def _run_pool(
                             time.monotonic() - dispatched,
                         )
                         worker.destroy(_TERMINATE_GRACE_S)
-                        pool[slot] = _Worker(
-                            ctx, result_queue, cache_dir, obs_spec,
-                            warm_start,
-                        )
+                        pool[slot] = spawn()
                 elif not worker.process.is_alive():
                     # Idle worker died (should not happen): replenish.
                     worker.destroy()
-                    pool[slot] = _Worker(
-                        ctx, result_queue, cache_dir, obs_spec, warm_start
-                    )
+                    pool[slot] = spawn()
     finally:
         for worker in pool:
             worker.stop()

@@ -23,9 +23,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import Cache, CompileCache, digest
-from repro.compiler import OptimizationLevel
-from repro.compiler.passes import validate_preset
-from repro.contracts.mode import ContractMode
+from repro.compiler import DEFAULT_OPTIONS, CompileOptions, OptimizationLevel
+from repro.compiler.options import TaskKnob
 from repro.devices import device_by_name
 from repro.devices.calibration import CalibrationError
 from repro.devices.device import Device
@@ -43,7 +42,6 @@ from repro.experiments.runner import (
     resolve_compiler,
 )
 from repro.programs import Benchmark, benchmark_by_name, standard_suite
-from repro.smt import MAPPER_METHODS
 
 logger = logging.getLogger("repro.sweep")
 
@@ -60,17 +58,12 @@ class SweepTask:
     with_success: bool
     compile_seed: int
     mc_seed: int
-    #: Pass-contract mode value ("strict"/"warn") or None for off — a
-    #: plain string so tasks stay picklable and journal-stable.
-    contracts: Optional[str] = None
-    #: Mapper backend ("portfolio"/"heuristic") or None for the default
-    #: exact solver — None (not "exact") so pre-portfolio task digests
-    #: and journals stay stable.
-    mapper: Optional[str] = None
-    #: Pass-manager preset ("basic"/"full") or None for no optimization
-    #: — None (not "none") so pre-pass-manager task digests and
-    #: journals stay stable.
-    opt: Optional[str] = None
+    #: Compile knobs, None at their defaults (filled and read back by
+    #: :class:`repro.compiler.CompileOptions`).  An unset ``opt`` still
+    #: joins the task digest; see :func:`~repro.experiments.journal.task_digest`.
+    contracts: TaskKnob = None
+    mapper: TaskKnob = None
+    opt: TaskKnob = None
 
 
 def derive_task_seed(base_seed: int, *identity) -> int:
@@ -142,8 +135,8 @@ class SweepPlan:
     run_id: str = ""
     #: Where this run's journal lives (None: journaling off).
     journal_dir: Optional[Path] = None
-    #: Coerced contract mode for every cell.
-    contract_mode: ContractMode = ContractMode.OFF
+    #: Compile options of every cell.
+    options: CompileOptions = DEFAULT_OPTIONS
 
     @property
     def journal_path(self) -> Optional[Path]:
@@ -177,9 +170,7 @@ def build_sweep_plan(
     skip_bad_days: bool = False,
     run_id: Optional[str] = None,
     journal_dir=None,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> SweepPlan:
     """Resolve a sweep specification into an executable plan.
 
@@ -190,12 +181,6 @@ def build_sweep_plan(
     identically.  Task digests and run ids are unchanged by the
     extraction (both hash plain field values, not module paths).
     """
-    contract_mode = ContractMode.coerce(contracts)
-    if mapper not in MAPPER_METHODS:
-        raise ValueError(
-            f"unknown mapper {mapper!r}; choose from {MAPPER_METHODS}"
-        )
-    validate_preset(opt)
     if isinstance(device, str):
         device = device_by_name(device, day=day or 0)
     resolved_day = device.day if day is None else day
@@ -234,6 +219,7 @@ def build_sweep_plan(
         if fits(built[0], device):
             fitting.append((benchmark, built))
 
+    knobs = options.task_fields()
     tasks: List[SweepTask] = []
     for benchmark, _ in fitting:
         for label in labels:
@@ -251,13 +237,7 @@ def build_sweep_plan(
                         with_success=with_success,
                         compile_seed=compile_seed,
                         mc_seed=mc_seed,
-                        contracts=(
-                            contract_mode.value
-                            if contract_mode.enabled
-                            else None
-                        ),
-                        mapper=mapper if mapper != "exact" else None,
-                        opt=opt if opt != "none" else None,
+                        **knobs,
                     )
                 )
     digests = [task_digest(task) for task in tasks]
@@ -270,19 +250,8 @@ def build_sweep_plan(
         fault_samples,
         with_success,
         base_seed,
+        *options.run_spec_suffix(),
     ]
-    if contract_mode.enabled:
-        # Only enabled modes join the run id, so contract-off sweeps
-        # keep resuming journals written before the contracts layer.
-        run_spec.append(contract_mode.value)
-    if mapper != "exact":
-        # Same back-compat pattern: only non-default mappers join, so
-        # exact-mapper sweeps keep resuming pre-portfolio journals.
-        run_spec.append(f"mapper={mapper}")
-    if opt != "none":
-        # And again for the pass manager: unoptimized sweeps keep
-        # resuming pre-pass-manager journals.
-        run_spec.append(f"opt={opt}")
     effective_run_id = run_id or run_digest(*run_spec)
     if journal_dir is None and isinstance(cache, CompileCache):
         journal_dir = cache.root / "journals"
@@ -297,7 +266,7 @@ def build_sweep_plan(
         digests=digests,
         run_id=effective_run_id,
         journal_dir=Path(journal_dir) if journal_dir is not None else None,
-        contract_mode=contract_mode,
+        options=options,
     )
 
 

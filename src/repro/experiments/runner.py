@@ -17,19 +17,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.baselines import QiskitLikeCompiler, QuilLikeCompiler
 from repro.cache import Cache, cache_context, compile_key, success_key
 from repro.compiler import (
+    DEFAULT_OPTIONS,
     CompiledProgram,
+    CompileOptions,
     OptimizationLevel,
     TriQCompiler,
 )
-from repro.compiler.passes import validate_preset
-from repro.contracts import ContractMode, ContractRecorder, checks
+from repro.contracts import ContractRecorder, checks
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.ir.decompose import decompose_to_basis
 from repro.obs.tracer import span as obs_span
 from repro.programs import Benchmark
 from repro.sim import SuccessEstimate, monte_carlo_success_rate
-from repro.smt import MAPPER_METHODS
 
 #: Default Monte-Carlo fault samples per success measurement.  The
 #: paper uses 8192 hardware trials; our estimator is Rao-Blackwellized
@@ -39,17 +39,6 @@ DEFAULT_FAULT_SAMPLES = 100
 #: Default RNG seed of :func:`repro.sim.monte_carlo_success_rate`,
 #: applied when no explicit Monte-Carlo seed is given.
 DEFAULT_MC_SEED = 1234
-
-#: TriQCompiler options baked into the cache key.  Mirrors the
-#: constructor defaults used by :func:`compile_with`; if those change,
-#: this dict (or ``repro.cache.keys.CACHE_SCHEMA_VERSION``) must too.
-_TRIQ_OPTIONS = {
-    "router": "basic",
-    "peephole": False,
-    "commute": False,
-    "node_limit": 200_000,
-    "time_limit_s": 30.0,
-}
 
 CompilerName = Union[OptimizationLevel, str]
 
@@ -123,26 +112,20 @@ def compile_with(
     compiler: CompilerName,
     day: Optional[int] = None,
     seed: int = 0,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> CompiledProgram:
     """Compile under a TriQ level or a vendor baseline by name.
 
-    ``contracts`` plumbs pass-contract enforcement through: TriQ levels
-    check every stage inside the pipeline; the vendor baselines (whose
-    internals predate the contract hooks) get the post-hoc checks —
-    translation legality, codegen round-trip, end-to-end semantics.
-
-    ``mapper`` selects the placement solver backend and ``opt`` the
-    fixed-point pass-manager preset for TriQ levels (the vendor
-    baselines have neither and ignore both).
+    ``options.contracts`` plumbs pass-contract enforcement through: TriQ
+    levels check every stage inside the pipeline; the vendor baselines
+    (whose internals predate the contract hooks) get the post-hoc
+    checks — translation legality, codegen round-trip, end-to-end
+    semantics.  The vendor baselines have no mapper backend or pass
+    manager and ignore ``options.mapper`` and ``options.opt``.
     """
-    mode = ContractMode.coerce(contracts)
     if isinstance(compiler, OptimizationLevel):
         return TriQCompiler(
-            device, level=compiler, day=day, contracts=mode, mapper=mapper,
-            opt=opt,
+            device, level=compiler, day=day, options=options
         ).compile(circuit)
     label = compiler.lower()
     if label == "qiskit":
@@ -151,8 +134,8 @@ def compile_with(
         program = QuilLikeCompiler(device, seed=seed).compile(circuit)
     else:
         raise ValueError(f"unknown compiler {compiler!r}")
-    if mode.enabled:
-        recorder = ContractRecorder(mode)
+    if options.contracts.enabled:
+        recorder = ContractRecorder(options.contracts)
         decomposed = decompose_to_basis(circuit)
         recorder.run(
             lambda: checks.check_translation(program.circuit, device)
@@ -174,9 +157,7 @@ def artifact_key(
     compiler: CompilerName,
     day: Optional[int] = None,
     seed: int = 0,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> str:
     """The content-addressed cache key of one compiled-program artifact.
 
@@ -185,30 +166,11 @@ def artifact_key(
     provenance fields on :class:`repro.api.CompileResult` — can address
     the same artifact.
     """
-    if mapper not in MAPPER_METHODS:
-        raise ValueError(
-            f"unknown mapper {mapper!r}; choose from {MAPPER_METHODS}"
-        )
-    validate_preset(opt)
-    mode = ContractMode.coerce(contracts)
-    options = dict(_TRIQ_OPTIONS)
-    if not isinstance(compiler, OptimizationLevel):
-        options = {"seed": seed}
-    if mode.enabled:
-        # Only enabled modes join the key, so contract-off runs keep
-        # hitting every artifact cached before the contracts layer.
-        options["contracts"] = mode.value
-    if mapper != "exact" and isinstance(compiler, OptimizationLevel):
-        # Non-exact mappers can change the placement, so they address
-        # distinct artifacts; the default keeps every pre-portfolio
-        # cache entry reachable (same pattern as ``contracts`` above).
-        options["mapper"] = mapper
-    if opt != "none" and isinstance(compiler, OptimizationLevel):
-        # Same pattern again: only engaged pass-manager presets join
-        # the key, so --opt none stays byte-identical to pre-pass-
-        # manager keys.
-        options["opt"] = opt
-    return compile_key(circuit, device, compiler_label(compiler), day, options)
+    triq = isinstance(compiler, OptimizationLevel)
+    return compile_key(
+        circuit, device, compiler_label(compiler), day,
+        options.cache_key_options(triq, seed),
+    )
 
 
 def compile_with_cache(
@@ -218,9 +180,7 @@ def compile_with_cache(
     day: Optional[int] = None,
     seed: int = 0,
     cache: Optional[Cache] = None,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> Tuple[CompiledProgram, Optional[bool]]:
     """Compile, consulting the artifact cache.
 
@@ -229,18 +189,16 @@ def compile_with_cache(
     ``compile_time_s``, so warm serial and parallel runs of the same
     grid produce byte-identical measurements.
     """
-    mode = ContractMode.coerce(contracts)
     if cache is None or not cache.enabled:
         return (
             compile_with(
                 circuit, device, compiler, day=day, seed=seed,
-                contracts=mode, mapper=mapper, opt=opt,
+                options=options,
             ),
             None,
         )
     key = artifact_key(
-        circuit, device, compiler, day=day, seed=seed, contracts=mode,
-        mapper=mapper, opt=opt,
+        circuit, device, compiler, day=day, seed=seed, options=options
     )
     payload = cache.get(key)
     if payload is not None:
@@ -248,8 +206,7 @@ def compile_with_cache(
     # Activate the cache for the pipeline's reliability memoization too.
     with cache_context(cache):
         program = compile_with(
-            circuit, device, compiler, day=day, seed=seed, contracts=mode,
-            mapper=mapper, opt=opt,
+            circuit, device, compiler, day=day, seed=seed, options=options
         )
     cache.put(key, program.to_payload())
     return program, False
@@ -312,9 +269,7 @@ def measure(
     mc_seed: Optional[int] = None,
     built: Optional[Tuple[Circuit, str]] = None,
     cache: Optional[Cache] = None,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> Measurement:
     """Compile one benchmark and optionally measure its success rate.
 
@@ -332,7 +287,7 @@ def measure(
     ) as measure_span:
         program, cache_hit = compile_with_cache(
             circuit, device, compiler, day=day, seed=seed, cache=cache,
-            contracts=contracts, mapper=mapper, opt=opt,
+            options=options,
         )
         if measure_span:
             measure_span.set(cache_hit=cache_hit)
@@ -391,9 +346,7 @@ def sweep(
     base_seed: Optional[int] = None,
     task_timeout_s: Optional[float] = None,
     retries: int = 0,
-    contracts: Union[ContractMode, str, None] = None,
-    mapper: str = "exact",
-    opt: str = "none",
+    options: CompileOptions = DEFAULT_OPTIONS,
 ) -> List[Measurement]:
     """Measure a benchmark suite under several compilers on one device.
 
@@ -418,9 +371,7 @@ def sweep(
         base_seed=base_seed,
         task_timeout_s=task_timeout_s,
         retries=retries,
-        contracts=contracts,
-        mapper=mapper,
-        opt=opt,
+        options=options,
     ).measurements
 
 

@@ -549,6 +549,7 @@ class ReproService:
     ]:
         """Validated api params + coalescing key for one submission."""
         from repro import api
+        from repro.compiler import CompileOptions
         from repro.devices import device_by_name
         from repro.programs import benchmark_by_name
 
@@ -557,13 +558,20 @@ class ReproService:
         if unknown:
             raise ValueError(f"unknown fields: {sorted(unknown)}")
         params = {key: body[key] for key in allowed if key in body}
-        if kind == "compile":
-            if ("benchmark" in params) == ("scaffold" in params):
-                raise ValueError(
-                    "give exactly one of 'benchmark' or 'scaffold'"
-                )
-            if "device" not in params:
-                raise ValueError("'device' is required")
+        # Every kind validates its compile knobs at admission, before
+        # anything is queued or journaled.
+        knobs = CompileOptions.from_params(params).as_params()
+        if kind == "compile" and (
+            ("benchmark" in params) == ("scaffold" in params)
+        ):
+            raise ValueError("give exactly one of 'benchmark' or 'scaffold'")
+        if kind == "run" and "benchmark" not in params:
+            raise ValueError(
+                "'run' needs a suite benchmark (known correct answer)"
+            )
+        if "device" not in params:
+            raise ValueError("'device' is required")
+        if kind != "sweep":
             key = api.compile_cache_key(
                 benchmark=params.get("benchmark"),
                 scaffold=params.get("scaffold"),
@@ -571,32 +579,12 @@ class ReproService:
                 device=params["device"],
                 level=params.get("level", "1QOptCN"),
                 day=params.get("day", 0),
-                contracts=params.get("contracts"),
-                mapper=params.get("mapper", "exact"),
-                opt=params.get("opt", "none"),
+                **knobs,
             )
-            return params, f"compile:{key}"
-        if kind == "run":
-            if "benchmark" not in params:
-                raise ValueError(
-                    "'run' needs a suite benchmark (known correct answer)"
-                )
-            if "device" not in params:
-                raise ValueError("'device' is required")
-            key = api.compile_cache_key(
-                benchmark=params["benchmark"],
-                device=params["device"],
-                level=params.get("level", "1QOptCN"),
-                day=params.get("day", 0),
-                contracts=params.get("contracts"),
-                mapper=params.get("mapper", "exact"),
-                opt=params.get("opt", "none"),
-            )
+            if kind == "compile":
+                return params, f"compile:{key}"
             samples = params.get("fault_samples", 100)
             return params, f"run:{key}:fs{samples}"
-        # sweep
-        if "device" not in params:
-            raise ValueError("'device' is required")
         day = params.get("day", 0)
         device_by_name(str(params["device"]), day=day)
         api.resolve_compilers(params.get("compilers", ["1QOptCN"]))

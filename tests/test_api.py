@@ -19,14 +19,11 @@ from repro import api
 from repro.cache import open_cache
 from repro.cache.keys import compile_key
 from repro.compiler import OptimizationLevel
+from repro.compiler.options import _TRIQ_OPTIONS
 from repro.devices import all_devices, device_by_name
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import run_sweep
-from repro.experiments.runner import (
-    _TRIQ_OPTIONS,
-    artifact_key,
-    compile_with_cache,
-)
+from repro.experiments.runner import artifact_key, compile_with_cache
 from repro.programs import benchmark_by_name
 from repro.sim import monte_carlo_success_rate
 

@@ -2,10 +2,8 @@
 
 Covers each pass in isolation (state compression, commuting
 cancellation, block resynthesis, 1Q coalescing), the manager's
-fixed-point loop and cost accounting, the OPT### contract wiring
-(distribution preservation, 2Q monotonicity, convergence guard), and
-the OPT004 construction-time diagnostic for ``commute=True`` at a level
-without 1Q optimization.
+fixed-point loop and cost accounting, and the OPT### contract wiring
+(distribution preservation, 2Q monotonicity, convergence guard).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.compiler import OptimizationLevel, TriQCompiler
 from repro.compiler.passes import (
     DEFAULT_MAX_ITERATIONS,
     OPT_PRESETS,
@@ -32,13 +29,11 @@ from repro.compiler.passes import (
 )
 from repro.contracts.errors import (
     ERROR_CODES,
-    OptimizationConfigError,
     PassConvergenceError,
     PassDistributionError,
     PassMonotonicityError,
 )
 from repro.contracts.mode import ContractMode, ContractRecorder
-from repro.devices import device_by_name
 from repro.ir.circuit import Circuit
 from repro.sim.statevector import circuit_unitary, ideal_distribution
 from repro.verify import distribution_distance
@@ -379,31 +374,6 @@ class TestPassManager:
 
 class TestErrorCodeRegistry:
     def test_opt_codes_registered(self):
-        for code in ("OPT001", "OPT002", "OPT003", "OPT004"):
+        for code in ("OPT001", "OPT002", "OPT003"):
             assert code in ERROR_CODES
 
-
-class TestCommuteConfigDiagnostic:
-    """Satellite: TriQCompiler(commute=True) at a level without 1Q
-    optimization used to be a silent no-op; it now fails loudly at
-    construction with a structured OPT004."""
-
-    def test_commute_at_level_n_raises_opt004(self):
-        device = device_by_name("IBM Q5 Tenerife", day=0)
-        with pytest.raises(OptimizationConfigError) as err:
-            TriQCompiler(device, level=OptimizationLevel.N, commute=True)
-        assert err.value.code == "OPT004"
-        assert "1Q" in str(err.value)
-
-    def test_commute_at_optimizing_levels_still_fine(self):
-        device = device_by_name("IBM Q5 Tenerife", day=0)
-        for level in (
-            OptimizationLevel.OPT_1Q,
-            OptimizationLevel.OPT_1QC,
-            OptimizationLevel.OPT_1QCN,
-        ):
-            TriQCompiler(device, level=level, commute=True)
-
-    def test_level_n_without_commute_unaffected(self):
-        device = device_by_name("IBM Q5 Tenerife", day=0)
-        TriQCompiler(device, level=OptimizationLevel.N)

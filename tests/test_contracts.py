@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.compiler import OptimizationLevel, TriQCompiler
+from repro.compiler import CompileOptions, OptimizationLevel, TriQCompiler
 from repro.compiler.mapping import InitialMapping, default_mapping
 from repro.compiler.reliability import compute_reliability
 from repro.compiler.routing import route_circuit
@@ -211,7 +211,7 @@ class TestPipelineIntegration:
     def test_strict_clean_compiles(self, device_fn, level):
         device = device_fn()
         program = TriQCompiler(
-            device, level=level, contracts="strict"
+            device, level=level, options=CompileOptions(contracts="strict")
         ).compile(bernstein_vazirani(4)[0])
         assert program.contract_violations == ()
 
@@ -220,7 +220,9 @@ class TestPipelineIntegration:
         monkeypatch.setenv(CONTRACT_FAULT_ENV, stage)
         device = ibmq5_tenerife()
         with pytest.raises(ContractError):
-            TriQCompiler(device, contracts="strict").compile(
+            TriQCompiler(
+                device, options=CompileOptions(contracts="strict")
+            ).compile(
                 bernstein_vazirani(4)[0]
             )
 
@@ -228,7 +230,9 @@ class TestPipelineIntegration:
     def test_injected_fault_recorded_warn(self, stage, monkeypatch):
         monkeypatch.setenv(CONTRACT_FAULT_ENV, stage)
         device = ibmq5_tenerife()
-        program = TriQCompiler(device, contracts="warn").compile(
+        program = TriQCompiler(
+            device, options=CompileOptions(contracts="warn")
+        ).compile(
             bernstein_vazirani(4)[0]
         )
         assert program.contract_violations
@@ -271,10 +275,14 @@ class TestRunnerIntegration:
 
         circuit, _ = benchmark_by_name("BV4").build()
         device = ibmq5_tenerife()
-        clean = compile_with(circuit, device, "qiskit", contracts="warn")
+        clean = compile_with(
+            circuit, device, "qiskit", options=CompileOptions(contracts="warn")
+        )
         assert clean.contract_violations == ()
         monkeypatch.setenv(CONTRACT_FAULT_ENV, "codegen")
-        faulted = compile_with(circuit, device, "qiskit", contracts="warn")
+        faulted = compile_with(
+            circuit, device, "qiskit", options=CompileOptions(contracts="warn")
+        )
         assert any("CODEGEN" in v for v in faulted.contract_violations)
 
     def test_sweep_warn_records_violations(self, monkeypatch):
@@ -286,7 +294,7 @@ class TestRunnerIntegration:
             [OptimizationLevel.OPT_1Q],
             benchmarks=["BV4"],
             with_success=False,
-            contracts="warn",
+            options=CompileOptions(contracts="warn"),
         )
         assert report.measurements[0].contract_violations
         assert not report.failures
@@ -300,7 +308,7 @@ class TestRunnerIntegration:
             [OptimizationLevel.OPT_1Q],
             benchmarks=["BV4"],
             with_success=False,
-            contracts="strict",
+            options=CompileOptions(contracts="strict"),
         )
         assert report.failures
         assert report.failures[0].error_type == "OneQubitContractError"
@@ -343,6 +351,6 @@ class TestRunnerIntegration:
         assert hit is True
         _, hit = compile_with_cache(
             circuit, device, OptimizationLevel.OPT_1QCN, cache=cache,
-            contracts="strict",
+            options=CompileOptions(contracts="strict"),
         )
         assert hit is False

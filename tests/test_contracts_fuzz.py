@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.compiler import CompileOptions
 from repro.contracts import CONTRACT_FAULT_ENV
 from repro.contracts.fuzz import (
     FuzzConfig,
@@ -141,7 +142,6 @@ class TestCampaign:
         real_compile_with = runner_mod.compile_with
 
         def miscompile(circuit, dev, compiler, **kwargs):
-            kwargs.pop("contracts", None)
             program = real_compile_with(
                 Circuit(2).measure_all(), dev, compiler
             )
@@ -152,6 +152,8 @@ class TestCampaign:
         with mock.patch.object(
             runner_mod, "compile_with", side_effect=miscompile
         ):
-            outcome = classify_fn(source, device, "qiskit", contracts="off")
+            outcome = classify_fn(
+                source, device, "qiskit", options=CompileOptions()
+            )
         assert outcome is not None
         assert outcome[0] == "differential"

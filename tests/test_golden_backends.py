@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.compiler import OptimizationLevel, TriQCompiler
+from repro.compiler import CompileOptions, OptimizationLevel, TriQCompiler
 from repro.devices import device_by_name
 from repro.programs import benchmark_by_name
 
@@ -49,7 +49,7 @@ def _emit(benchmark_name: str, device_name: str, opt: str = "none") -> str:
         device,
         level=OptimizationLevel.OPT_1QCN,
         time_limit_s=None,  # exact solve: deterministic on any machine
-        opt=opt,
+        options=CompileOptions(opt=opt),
     )
     return compiler.compile(circuit).executable()
 

@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.compiler.mapping import InitialMapping, mapping_problem, smt_mapping
+from repro.compiler.options import CompileOptions
 from repro.compiler.pipeline import OptimizationLevel, TriQCompiler
 from repro.compiler.reliability import compute_reliability
 from repro.contracts import (
@@ -190,7 +191,10 @@ class TestScaleSmoke:
         # pipeline on the 72-qubit grid with --mapper=portfolio, mapping
         # capped under 10 s.
         device = google_bristlecone_72()
-        compiler = TriQCompiler(device, mapper="portfolio", time_limit_s=8.0)
+        compiler = TriQCompiler(
+            device, time_limit_s=8.0,
+            options=CompileOptions(mapper="portfolio"),
+        )
         for circuit, _ in [bernstein_vazirani(12), toffoli_benchmark()]:
             started = time.monotonic()
             program = compiler.compile(circuit)
@@ -292,7 +296,8 @@ class TestMapperDivergenceContract:
         # same strict pipeline) agrees.
         device = self.DEVICE
         compiler = TriQCompiler(
-            device, mapper="portfolio", contracts="strict"
+            device,
+            options=CompileOptions(mapper="portfolio", contracts="strict"),
         )
         circuit = decompose_to_basis(toffoli_benchmark()[0])
         program = compiler.compile(circuit)
@@ -302,7 +307,7 @@ class TestMapperDivergenceContract:
                 toffoli_benchmark()[0],
                 device,
                 OptimizationLevel.OPT_1QCN,
-                mapper="portfolio",
+                options=CompileOptions(mapper="portfolio", contracts="strict"),
             )
             is None
         )

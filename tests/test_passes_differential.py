@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compiler import OptimizationLevel
+from repro.compiler import CompileOptions, OptimizationLevel
 from repro.contracts.checks import DEFAULT_SEMANTIC_QUBIT_LIMIT, compact_circuit
 from repro.devices import all_devices
 from repro.experiments.runner import artifact_key, compile_with, fits
@@ -58,7 +58,8 @@ def test_preset_preserves_distribution_and_two_qubit_count(
 ):
     plain = _plain_program(device, bench_name, circuit)
     optimized = compile_with(
-        circuit, device, LEVEL, contracts="strict", opt=preset
+        circuit, device, LEVEL,
+        options=CompileOptions(contracts="strict", opt=preset),
     )
     assert optimized.opt == preset
     # 2Q monotonicity holds on every cell, simulable or not.
@@ -81,7 +82,9 @@ def test_opt_none_program_is_byte_identical(device, bench_name, circuit):
     """The default path is untouched: opt="none" emits the same bytes
     as a compile that never heard of the pass manager."""
     plain = _plain_program(device, bench_name, circuit)
-    explicit = compile_with(circuit, device, LEVEL, opt="none")
+    explicit = compile_with(
+        circuit, device, LEVEL, options=CompileOptions(opt="none")
+    )
     assert explicit.executable() == plain.executable()
     assert explicit.opt == "none"
     assert explicit.opt_stats == ()
@@ -96,13 +99,15 @@ class TestCacheKeyBackCompat:
     def test_opt_none_key_matches_default_signature(self):
         device, circuit = self._cell()
         assert artifact_key(circuit, device, LEVEL) == artifact_key(
-            circuit, device, LEVEL, opt="none"
+            circuit, device, LEVEL, options=CompileOptions(opt="none")
         )
 
     def test_engaged_presets_address_distinct_artifacts(self):
         device, circuit = self._cell()
         keys = {
-            artifact_key(circuit, device, LEVEL, opt=preset)
+            artifact_key(
+                circuit, device, LEVEL, options=CompileOptions(opt=preset)
+            )
             for preset in ("none", "basic", "full")
         }
         assert len(keys) == 3
@@ -112,13 +117,12 @@ class TestCacheKeyBackCompat:
         not fork on a knob that cannot affect them."""
         device, circuit = self._cell()
         assert artifact_key(circuit, device, "Qiskit") == artifact_key(
-            circuit, device, "Qiskit", opt="full"
+            circuit, device, "Qiskit", options=CompileOptions(opt="full")
         )
 
     def test_unknown_preset_rejected(self):
-        device, circuit = self._cell()
         with pytest.raises(ValueError, match="unknown optimization preset"):
-            artifact_key(circuit, device, LEVEL, opt="max")
+            CompileOptions(opt="max")
 
 
 class TestSweepPlanBackCompat:
@@ -128,10 +132,12 @@ class TestSweepPlanBackCompat:
         device = DEVICES[0]
         default_plan = build_sweep_plan(device, [LEVEL], benchmarks=["bv4"])
         none_plan = build_sweep_plan(
-            device, [LEVEL], benchmarks=["bv4"], opt="none"
+            device, [LEVEL], benchmarks=["bv4"],
+            options=CompileOptions(opt="none"),
         )
         full_plan = build_sweep_plan(
-            device, [LEVEL], benchmarks=["bv4"], opt="full"
+            device, [LEVEL], benchmarks=["bv4"],
+            options=CompileOptions(opt="full"),
         )
         assert default_plan.run_id == none_plan.run_id
         assert default_plan.digests == none_plan.digests
@@ -143,7 +149,7 @@ class TestSweepPlanBackCompat:
 
 class TestFuzzSamplesPresets:
     def test_sampled_presets_are_deterministic_in_seed(self):
-        """opt=None samples a preset per circuit from the circuit's own
+        """sample_opt draws a preset per circuit from the circuit's own
         RNG — after the circuit draws, so the generated circuits match a
         fixed-preset campaign's bit for bit."""
         import random
@@ -167,7 +173,7 @@ class TestFuzzSamplesPresets:
                 circuits=6,
                 devices=["IBM Q5 Tenerife"],
                 compilers=[LEVEL],
-                opt=None,
+                sample_opt=True,
             )
         )
         assert report.attempts == 6
@@ -196,8 +202,8 @@ class TestFuzzSamplesPresets:
             shrunk_instructions=len(c.instructions),
         )
         path = write_reproducer(
-            tmp_path / "repro.json", c, finding, "strict", 1e-6,
-            mapper="exact", opt="full",
+            tmp_path / "repro.json", c, finding,
+            CompileOptions(contracts="strict", opt="full"), 1e-6,
         )
         payload = json.loads(path.read_text())
         assert payload["opt"] == "full"

@@ -154,6 +154,30 @@ class TestHttpSurface:
         )
         assert status == 400 and "vendor" in payload["error"]
 
+    @pytest.mark.parametrize("kind", ["compile", "run", "sweep"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("mapper", "bogus"), ("opt", "turbo"), ("contracts", "loud")],
+    )
+    def test_bad_compile_knob_rejected_at_admission(
+        self, harness, kind, field, value
+    ):
+        """Every kind validates its compile knobs before queueing: a 400
+        naming the field, no job registered, nothing WAL-journaled."""
+        body = {"benchmark": "HS2", "device": "tenerife", field: value}
+        if kind == "sweep":
+            body = {"device": "tenerife", field: value}
+        with pytest.raises(ValueError, match=field):
+            harness.service._prepare(kind, body)
+        status, payload = harness.request("POST", f"/v1/{kind}", body)
+        assert status == 400
+        assert repr(field) in payload["error"]
+        assert value in payload["error"]
+        assert harness.request("GET", "/v1/jobs")[1]["jobs"] == []
+        assert harness.metric(
+            "repro_service_wal_records_total", event="submitted"
+        ) == 0
+
     def test_compile_needs_exactly_one_source(self, harness):
         assert (
             harness.request("POST", "/v1/compile", {"device": "tenerife"})[0]
