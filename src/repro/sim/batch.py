@@ -33,14 +33,29 @@ guarantee it:
   is trivially bit-identical (and cheap: the states have <= 8
   amplitudes).
 
-Per-row fault injections always use the scalar
-:func:`~repro.sim.statevector.apply_instruction`, the very function the
-legacy path used, so an injected Pauli perturbs its row's bits exactly
-as before.
+The wide kernel hands BLAS the very call ``np.tensordot`` makes
+(:func:`_apply_unitary_batch_gemm`): the same ``(2**k, 2**k)`` matrix
+times the same transposed ``(2**k, -1)`` copy of the batch, through
+``np.dot``.  Only the Python around it differs — the axis permutations
+are memoised per ``(qubits, num_qubits)`` — so BLAS sees identical
+operands and rounds identically.
+
+Fault injections are grouped per circuit position by instruction, and
+each group is applied to all its rows at once.  A Pauli injection is a
+component swap and a phase multiplication on a ``(batch, 2**q, 2,
+2**(n-q-1))`` view of the rows (:func:`_inject_pauli`): X swaps the two
+halves of qubit ``q``; Z negates half 1; Y swaps them and multiplies by
+-i and +i.  Every product there is by 0, ±1 or ±i and every sum adds an
+exact zero, so nothing rounds: the amplitudes equal the scalar
+tensordot's bit for bit, except that an exact zero may carry the other
+sign — which no ``|amplitude|**2``, and so no probability or success
+float, can see.  Any other injected instruction goes through
+:func:`apply_instruction_batch` and inherits its bit-compatibility.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +63,7 @@ import numpy as np
 from repro.ir.circuit import Circuit
 from repro.ir.gates import gate_matrix
 from repro.ir.instruction import Instruction
-from repro.sim.statevector import apply_instruction, apply_unitary
+from repro.sim.statevector import apply_unitary
 
 #: Below this many trailing (non-batch, non-gate) columns the scalar
 #: matmul takes a narrow-matrix BLAS path whose rounding is not
@@ -66,24 +81,39 @@ _IDLE_CHECK_QUBITS = 8
 _WIDE_KERNEL_VERIFIED: Optional[bool] = None
 
 
+@lru_cache(maxsize=None)
+def _gemm_axes(
+    qubits: Tuple[int, ...], num_qubits: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``np.tensordot``'s operand permutation of a ``(batch,) +
+    (2,) * n`` state tensor (gate axes first, then batch and the other
+    qubits in order), and the permutation putting the product's axes
+    back.  Keyed on the register shape only, never on the batch size.
+    """
+    axes = [q + 1 for q in qubits]
+    operand = tuple(axes + [a for a in range(num_qubits + 1) if a not in axes])
+    return operand, tuple(int(a) for a in np.argsort(operand))
+
+
 def _apply_unitary_batch_gemm(
     states: np.ndarray,
     matrix: np.ndarray,
     qubits: Sequence[int],
     num_qubits: int,
 ) -> np.ndarray:
-    """The wide tensordot kernel, with no self-check or fallback."""
+    """The wide kernel, with no self-check or fallback.
+
+    Makes ``np.tensordot``'s own ``np.dot`` call without its per-call
+    axis bookkeeping.
+    """
     k = len(qubits)
     batch = states.shape[0]
-    tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
-    psi = states.reshape((batch,) + (2,) * num_qubits)
-    axes = [q + 1 for q in qubits]
-    psi = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-    # tensordot leaves the k gate output axes first (batch and the
-    # untouched qubit axes keep their relative order after them); move
-    # the gate axes back onto their qubit positions.
-    psi = np.moveaxis(psi, list(range(k)), axes)
-    return np.ascontiguousarray(psi).reshape(batch, -1)
+    operand, restore = _gemm_axes(tuple(qubits), num_qubits)
+    gate = np.ascontiguousarray(matrix, dtype=complex).reshape(2**k, 2**k)
+    psi = states.reshape((batch,) + (2,) * num_qubits).transpose(operand)
+    psi = np.dot(gate, psi.reshape(2**k, -1))
+    psi = psi.reshape((2,) * k + (batch,) + (2,) * (num_qubits - k))
+    return np.ascontiguousarray(psi.transpose(restore)).reshape(batch, -1)
 
 
 def _wide_kernel_bit_identical() -> bool:
@@ -180,6 +210,30 @@ def apply_instruction_batch(
     return apply_unitary_batch(states, matrix, inst.qubits, num_qubits)
 
 
+#: Per-half phases of each Pauli after its half swap (X and Y swap
+#: qubit q's halves, Z does not): multiplications by 0, ±1 and ±i,
+#: which never round.
+_PAULI_PHASES = {
+    "x": None,
+    "y": np.array([[-1j], [1j]]),
+    "z": np.array([[1], [-1]], dtype=complex),
+}
+
+
+def _inject_pauli(
+    states: np.ndarray, rows: List[int], name: str, qubit: int
+) -> None:
+    """Apply Pauli ``name`` on ``qubit`` to ``states[rows]`` in place."""
+    halves = states.reshape(states.shape[0], 2**qubit, 2, -1)
+    picked = halves[rows]
+    if name != "z":
+        picked = picked[:, :, ::-1]
+    phases = _PAULI_PHASES[name]
+    if phases is not None:
+        picked = picked * phases
+    halves[rows] = picked
+
+
 FaultInjections = Sequence[Tuple[int, Instruction]]
 
 
@@ -199,7 +253,9 @@ def simulate_statevector_batch(
             |0...0>).
 
     Row ``i`` is bit-identical to
-    ``simulate_statevector(circuit, faults=fault_sets[i])``.
+    ``simulate_statevector(circuit, faults=fault_sets[i])``, except
+    that an injected Pauli may flip the sign of an exact zero (see the
+    module docstring), so every ``|amplitude|**2`` matches bit for bit.
     """
     batch = len(fault_sets)
     n = circuit.num_qubits
@@ -210,16 +266,29 @@ def simulate_statevector_batch(
             np.asarray(initial_state, dtype=complex).reshape(1, -1),
             (batch, 1),
         )
-    # position -> [(row, instruction), ...]
-    fault_map: Dict[int, List[Tuple[int, Instruction]]] = {}
+    # position -> rounds of {instruction: rows}.  Round j holds each
+    # row's j-th injection at that position, so a row's injections keep
+    # their order and a round touches each row at most once.
+    fault_map: Dict[int, List[Dict[Instruction, List[int]]]] = {}
     for row, injections in enumerate(fault_sets):
+        depth: Dict[int, int] = {}
         for position, fault in injections or ():
-            fault_map.setdefault(position, []).append((row, fault))
+            j = depth.get(position, 0)
+            depth[position] = j + 1
+            rounds = fault_map.setdefault(position, [])
+            if j == len(rounds):
+                rounds.append({})
+            rounds[j].setdefault(fault, []).append(row)
     for idx, inst in enumerate(circuit):
         states = apply_instruction_batch(states, inst, n)
-        for row, fault in fault_map.get(idx, ()):
-            # Scalar per-row application: the exact legacy code path.
-            states[row] = apply_instruction(states[row], fault, n)
+        for groups in fault_map.get(idx, ()):
+            for fault, rows in groups.items():
+                if fault.name in _PAULI_PHASES:
+                    _inject_pauli(states, rows, fault.name, fault.qubits[0])
+                else:
+                    states[rows] = apply_instruction_batch(
+                        states[rows], fault, n
+                    )
     return states
 
 

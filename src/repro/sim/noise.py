@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,36 @@ _PAULIS_2Q = [
     for a, b in itertools.product((None, "x", "y", "z"), repeat=2)
     if not (a is None and b is None)
 ]
+
+
+#: One sampled fault configuration: ``(location, choice)`` pairs in
+#: ascending location order, where ``location`` indexes
+#: :attr:`NoiseModel.locations` and ``choice`` the location's candidate
+#: Paulis (``_PAULIS_1Q`` or ``_PAULIS_2Q`` order).
+FaultConfig = Tuple[Tuple[int, int], ...]
+
+Injection = Tuple[int, Instruction]
+
+
+@lru_cache(maxsize=4096)
+def _candidate_paulis(
+    qubits: Tuple[int, ...]
+) -> Tuple[Tuple[Instruction, ...], ...]:
+    """Every Pauli fault a gate on ``qubits`` can suffer, by choice index.
+
+    Keyed on the gate's qubits alone, so the cache is bounded by the
+    device couplings a process compiles for.
+    """
+    if len(qubits) == 1:
+        return tuple((Instruction(name, qubits),) for name in _PAULIS_1Q)
+    return tuple(
+        tuple(
+            Instruction(name, (qubit,))
+            for name, qubit in zip(pair, qubits)
+            if name is not None
+        )
+        for pair in _PAULIS_2Q
+    )
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,13 @@ class NoiseModel:
     ) -> None:
         self.locations = list(locations)
         self.readout_error = dict(readout_error)
+        self._probabilities = np.array(
+            [loc.error_probability for loc in self.locations], dtype=float
+        )
+        self._candidates = [
+            _candidate_paulis(loc.qubits) for loc in self.locations
+        ]
+        self._num_choices = [len(c) for c in self._candidates]
 
     @classmethod
     def from_device(
@@ -135,6 +173,49 @@ class NoiseModel:
     def total_locations(self) -> int:
         return len(self.locations)
 
+    def sample_configuration(self, rng: np.random.Generator) -> FaultConfig:
+        """One run's fault configuration (possibly empty).
+
+        Consumes the RNG stream exactly as :meth:`sample_faults`: one
+        ``rng.random(n)`` row over all locations, then one
+        ``rng.integers(k)`` per hit in ascending location order.
+        ``draw < p`` is the legacy loop's ``not draw >= p``, so both
+        return the same faults.
+        """
+        return self._choose(self._hits(rng), rng)
+
+    def sample_faulty(
+        self, rng: np.random.Generator, max_attempts: int = 10_000
+    ) -> Tuple[FaultConfig, int]:
+        """A configuration conditioned on having >= 1 fault, and the
+        number of ``rng.random(n)`` rows drawn to find it.
+
+        The stream-for-stream twin of
+        :meth:`sample_faulty_configuration`, fallback included.
+        """
+        for attempt in range(1, max_attempts + 1):
+            hits = self._hits(rng)
+            if hits:
+                return self._choose(hits, rng), attempt
+        # np.argmax, like max(), picks the first most likely location.
+        worst = int(np.argmax(self._probabilities))
+        return self._choose([worst], rng), max_attempts
+
+    def _hits(self, rng: np.random.Generator) -> List[int]:
+        """The faulting locations of one ``rng.random(n)`` row."""
+        draws = rng.random(self._probabilities.size)
+        return (draws < self._probabilities).nonzero()[0].tolist()
+
+    def _choose(
+        self, hits: List[int], rng: np.random.Generator
+    ) -> FaultConfig:
+        """One ``rng.integers(k)`` Pauli choice per hit, in order."""
+        return tuple(
+            (loc, int(rng.integers(self._num_choices[loc]))) for loc in hits
+        )
+
+    # -- The legacy per-location sampler, kept for the ``_reference_*``
+    # estimators of the differential suite.
     def sample_faults(self, rng: np.random.Generator) -> List[PauliFault]:
         """One run's fault configuration (possibly empty)."""
         faults: List[PauliFault] = []
@@ -187,3 +268,45 @@ class NoiseModel:
             for pauli in fault.paulis:
                 injections.append((fault.position, pauli))
         return injections
+
+
+class DistinctConfigs:
+    """The distinct fault configurations one estimator call samples.
+
+    :meth:`add` numbers configurations in first-seen order;
+    ``injections[i]`` holds configuration ``i``'s ``(position,
+    instruction)`` pairs, with every qubit mapped through
+    ``qubit_index`` (identity when None).  The candidate Paulis come
+    from the per-qubits cache, so no fault is ever remapped one
+    instruction at a time.
+    """
+
+    def __init__(
+        self, model: NoiseModel, qubit_index: Optional[Dict[int, int]] = None
+    ) -> None:
+        self._positions = [loc.position for loc in model.locations]
+        self._candidates = (
+            model._candidates
+            if qubit_index is None
+            else [
+                _candidate_paulis(tuple(qubit_index[q] for q in loc.qubits))
+                for loc in model.locations
+            ]
+        )
+        self._ids: Dict[FaultConfig, int] = {}
+        self.injections: List[List[Injection]] = []
+
+    def __len__(self) -> int:
+        return len(self.injections)
+
+    def add(self, config: FaultConfig) -> int:
+        """The index of ``config``, registering it when first seen."""
+        index = self._ids.get(config)
+        if index is None:
+            index = self._ids[config] = len(self.injections)
+            self.injections.append([
+                (self._positions[location], pauli)
+                for location, choice in config
+                for pauli in self._candidates[location][choice]
+            ])
+        return index

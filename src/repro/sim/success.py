@@ -31,7 +31,7 @@ from repro.sim.batch import (
     compact_register,
     simulate_statevector_batch,
 )
-from repro.sim.noise import NoiseModel, fault_config_key
+from repro.sim.noise import DistinctConfigs, NoiseModel
 from repro.sim.statevector import (
     distribution_from_state,
     measurement_wiring,
@@ -183,8 +183,9 @@ def monte_carlo_success_rate(
     and exact elsewhere.
 
     The faulty-run term batches: all ``fault_samples`` configurations
-    are drawn first (consuming the RNG stream exactly as the legacy
-    per-sample loop did), distinct configurations are simulated once
+    are drawn first with :meth:`NoiseModel.sample_faulty` (consuming
+    the RNG stream exactly as the legacy per-sample loop did), distinct
+    ``(location, choice)`` configurations are simulated once
     through :func:`repro.sim.batch.simulate_statevector_batch` in
     bounded chunks, and the accumulator then adds each sample's
     correct-probability in the original sample order — so the returned
@@ -205,7 +206,8 @@ def monte_carlo_success_rate(
     )
     n = simulated.num_qubits
 
-    ideal_state = simulate_statevector(simulated)
+    # A batch of one is the scalar engine's own BLAS call per gate.
+    ideal_state = simulate_statevector_batch(simulated, [None])[0]
     ideal_distribution = distribution_from_state(ideal_state, sim_wiring, n)
     ideal_rate = ideal_distribution.get(correct, 0.0)
     clean_correct = _readout_corrected_correct_probability(
@@ -229,27 +231,17 @@ def monte_carlo_success_rate(
             device_qubits=circuit.num_qubits,
         ) as sp:
             sample_config = np.empty(fault_samples, dtype=np.intp)
-            config_index: Dict[tuple, int] = {}
-            config_injections = []
+            configs = DistinctConfigs(model, qubit_index)
+            attempts = 0
             for s in range(fault_samples):
-                faults = model.sample_faulty_configuration(rng)
-                key = fault_config_key(faults)
-                index = config_index.get(key)
-                if index is None:
-                    index = len(config_injections)
-                    config_index[key] = index
-                    config_injections.append([
-                        (position, pauli.remap(qubit_index))
-                        for position, pauli in model.faults_as_injections(
-                            faults
-                        )
-                    ])
-                sample_config[s] = index
-            config_correct = np.empty(len(config_injections), dtype=float)
-            config_order = list(range(len(config_injections)))
+                config, tries = model.sample_faulty(rng)
+                attempts += tries
+                sample_config[s] = configs.add(config)
+            config_correct = np.empty(len(configs), dtype=float)
+            config_order = list(range(len(configs)))
             for chunk in chunked(config_order, _MAX_CONFIGS_IN_FLIGHT):
                 states = simulate_statevector_batch(
-                    simulated, [config_injections[c] for c in chunk]
+                    simulated, [configs.injections[c] for c in chunk]
                 )
                 for row, config in enumerate(chunk):
                     distribution = distribution_from_state(
@@ -264,7 +256,10 @@ def monte_carlo_success_rate(
             for s in range(fault_samples):
                 acc += float(config_correct[sample_config[s]])
             if sp:
-                sp.set(distinct_fault_configs=len(config_injections))
+                sp.set(
+                    distinct_fault_configs=len(configs),
+                    sample_attempts=attempts,
+                )
         samples_used = fault_samples
         faulty_mean = acc / fault_samples
 

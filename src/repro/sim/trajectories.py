@@ -30,7 +30,7 @@ returned ``Counter`` is identical to the legacy loop's (kept as
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,7 +38,11 @@ from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.obs.tracer import span as obs_span
 from repro.sim.batch import chunked, simulate_statevector_batch
-from repro.sim.noise import NoiseModel, fault_config_key as _fault_key
+from repro.sim.noise import (
+    DistinctConfigs,
+    NoiseModel,
+    fault_config_key as _fault_key,
+)
 from repro.sim.statevector import (
     measurement_wiring,
     simulate_statevector,
@@ -90,20 +94,12 @@ def sample_counts(
         # trial consumed: the fault draws, one uniform for the outcome
         # (Generator.choice with probabilities draws exactly one), and
         # one uniform per measured bit for readout flips.
-        config_index: Dict[tuple, int] = {}
-        config_injections: List[List[Tuple[int, object]]] = []
+        configs = DistinctConfigs(model)
         trial_config = np.empty(trials, dtype=np.intp)
         trial_outcome_u = np.empty(trials, dtype=float)
         trial_flip_u = np.empty((trials, num_bits), dtype=float)
         for t in range(trials):
-            faults = model.sample_faults(rng)
-            key = _fault_key(faults)
-            index = config_index.get(key)
-            if index is None:
-                index = len(config_injections)
-                config_index[key] = index
-                config_injections.append(model.faults_as_injections(faults))
-            trial_config[t] = index
+            trial_config[t] = configs.add(model.sample_configuration(rng))
             # One block draw: Generator.random(k) consumes the bit
             # stream exactly like k scalar Generator.random() calls.
             draws = rng.random(num_bits + 1)
@@ -115,9 +111,7 @@ def sample_counts(
         # trial that drew one of its configurations.  Counter addition
         # is order-independent, so resolving trials config-major (not
         # trial-major) leaves the histogram unchanged.
-        trials_by_config: List[List[int]] = [
-            [] for _ in range(len(config_injections))
-        ]
+        trials_by_config: List[List[int]] = [[] for _ in range(len(configs))]
         for t in range(trials):
             trials_by_config[trial_config[t]].append(t)
 
@@ -130,10 +124,10 @@ def sample_counts(
         weights = 1 << np.arange(num_bits)
         code_strings: Dict[int, str] = {}
         counts: Counter = Counter()
-        config_order = list(range(len(config_injections)))
+        config_order = list(range(len(configs)))
         for chunk in chunked(config_order, max_configs_in_flight):
             states = simulate_statevector_batch(
-                circuit, [config_injections[c] for c in chunk]
+                circuit, [configs.injections[c] for c in chunk]
             )
             for row, config in enumerate(chunk):
                 # The exact legacy float expressions, then the exact
@@ -166,9 +160,10 @@ def sample_counts(
                     counts[key] += int(count)
         if sp:
             sp.set(
-                distinct_fault_configs=len(config_injections),
-                batch_chunks=-(-len(config_injections)
-                              // max_configs_in_flight),
+                distinct_fault_configs=len(configs),
+                batch_chunks=-(-len(configs) // max_configs_in_flight),
+                # One fault-draw row per trial: no trial is rejected.
+                sample_attempts=trials,
             )
     return counts
 

@@ -202,6 +202,58 @@ class TestSimulateSpan:
         assert traced.compiled.cache_key == plain.compiled.cache_key
         for field in ("success_rate", "ideal_rate", "esp"):
             assert getattr(traced, field).hex() == getattr(plain, field).hex()
+        args = event["args"]
+        assert 1 <= args["distinct_fault_configs"] <= 6
+        assert args["sample_attempts"] >= 6
+
+    def test_span_counts_sampling_work(self):
+        """``sample_attempts`` counts the fault-draw rows (rejections
+        included); ``distinct_fault_configs`` the configurations
+        simulated.  Both match a replay of the legacy sampler, and the
+        traced estimate equals the untraced one bit for bit."""
+        import numpy as np
+
+        from repro.sim.noise import NoiseModel, fault_config_key
+        from repro.sim.success import monte_carlo_success_rate
+        from repro.sim.trajectories import sample_counts
+
+        device = device_by_name("rueschlikon")
+        compiled = TriQCompiler(
+            device, level=OptimizationLevel.OPT_1QCN
+        ).compile(_bv4_circuit()).circuit
+        samples, seed = 40, 9
+        plain = monte_carlo_success_rate(
+            compiled, device, "1111", fault_samples=samples, seed=seed
+        )
+        tracer = Tracer()
+        with tracer_context(tracer):
+            traced = monte_carlo_success_rate(
+                compiled, device, "1111", fault_samples=samples, seed=seed
+            )
+            counts = sample_counts(compiled, device, trials=64, seed=seed)
+        for field in ("success_rate", "ideal_rate", "esp",
+                      "no_fault_probability"):
+            assert getattr(traced, field).hex() == getattr(plain, field).hex()
+        assert sum(counts.values()) == 64
+
+        model = NoiseModel.from_device(device, compiled)
+        rng = np.random.default_rng(seed)
+        attempts, keys = 0, set()
+        for _ in range(samples):
+            while True:
+                attempts += 1
+                faults = model.sample_faults(rng)
+                if faults:
+                    break
+            keys.add(fault_config_key(faults))
+        (success,) = [s for s in tracer.walk() if s.name == "simulate.success"]
+        assert success.attrs["sample_attempts"] == attempts > samples
+        assert success.attrs["distinct_fault_configs"] == len(keys)
+        (trajectories,) = [
+            s for s in tracer.walk() if s.name == "simulate.trajectories"
+        ]
+        assert trajectories.attrs["sample_attempts"] == 64
+        assert 1 <= trajectories.attrs["distinct_fault_configs"] <= 64
 
 
 class TestJournalRecords:

@@ -6,8 +6,9 @@ circuits:
 * **Batch independence / linearity** — the batch dimension is inert:
   row ``i`` of ``apply_unitary_batch`` equals the scalar
   ``apply_unitary`` on row ``i`` (bit for bit, the engine's core
-  promise), and concatenating two batches equals concatenating their
-  results.
+  promise), each row of a batch with injected Pauli faults has the
+  scalar faulty run's ``|amplitude|**2`` bit for bit, and concatenating
+  two batches equals concatenating their results.
 * **Permutation invariance** — reordering the fault sets of
   ``simulate_statevector_batch`` just reorders the output rows.
 * **Density-matrix agreement** — on 2-qubit circuits the clean batched
@@ -18,12 +19,13 @@ circuits:
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.contracts.fuzz import random_circuit
-from repro.ir import gate_matrix
+from repro.ir import Circuit, gate_matrix
 from repro.ir.instruction import Instruction
 from repro.sim.batch import (
     apply_unitary_batch,
@@ -32,7 +34,7 @@ from repro.sim.batch import (
     zero_states,
 )
 from repro.sim.density import apply_unitary_to_density, zero_density
-from repro.sim.statevector import apply_unitary
+from repro.sim.statevector import apply_unitary, simulate_statevector
 
 #: Gate pool with representative arities (params where required).
 _GATES = [
@@ -53,15 +55,33 @@ def _random_states(seed: int, batch: int, num_qubits: int) -> np.ndarray:
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
+def _pauli_injections(num_qubits: int, length: int):
+    """Strategy: one row's ``(position, Pauli)`` injections."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, length - 1),
+            st.sampled_from("xyz"),
+            st.integers(0, num_qubits - 1),
+        ).map(lambda t: (t[0], Instruction(t[1], (t[2],)))),
+        max_size=6,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     batch=st.integers(1, 7),
-    num_qubits=st.integers(1, 4),
+    num_qubits=st.integers(1, 6),
     gate=st.sampled_from(_GATES),
     data=st.data(),
 )
 def test_batch_rows_match_scalar_kernel(seed, batch, num_qubits, gate, data):
+    """Row ``i`` of the batched kernel, and of a faulty batched run,
+    matches the scalar engine bit for bit — with the wide-GEMM
+    self-check run for real (it passes on the BLAS builds CI uses) and
+    with it forced to fail (the per-row scalar fallback)."""
+    import repro.sim.batch as batch_module
+
     name, arity, params = gate
     if arity > num_qubits:
         num_qubits = arity
@@ -70,10 +90,56 @@ def test_batch_rows_match_scalar_kernel(seed, batch, num_qubits, gate, data):
     )
     states = _random_states(seed, batch, num_qubits)
     matrix = gate_matrix(name, params)
-    batched = apply_unitary_batch(states, matrix, qubits, num_qubits)
-    for i in range(batch):
-        scalar = apply_unitary(states[i], matrix, qubits, num_qubits)
-        assert np.array_equal(batched[i], scalar)
+
+    # Fault injection: drawn rows (several Paulis may share a row and
+    # position) that all carry one shared (pauli, qubit), one row per
+    # Pauli per qubit, and a non-Pauli injection on either side of an X
+    # (order-sensitive even in |amplitude|**2).
+    circuit = Circuit(num_qubits)
+    for _ in range(data.draw(st.integers(1, 5))):
+        g_name, g_arity, g_params = data.draw(
+            st.sampled_from([g for g in _GATES if g[1] <= num_qubits])
+        )
+        g_qubits = data.draw(
+            st.permutations(range(num_qubits)).map(
+                lambda p, a=g_arity: tuple(p[:a])
+            )
+        )
+        circuit.append(Instruction(g_name, g_qubits, g_params))
+    length = len(circuit)
+    shared = data.draw(_pauli_injections(num_qubits, length).filter(bool))[0]
+    fault_sets = [
+        [shared] + data.draw(_pauli_injections(num_qubits, length))
+        for _ in range(batch)
+    ] + [
+        [(length - 1, Instruction(pauli, (qubit,)))]
+        for pauli in "xyz"
+        for qubit in range(num_qubits)
+    ] + [
+        [(0, Instruction("h", (0,))), (0, Instruction("x", (0,)))],
+        [(0, Instruction("x", (0,))), (0, Instruction("h", (0,)))],
+    ]
+    initial = states[0]
+
+    for verified in (None, False):
+        with mock.patch.object(
+            batch_module, "_WIDE_KERNEL_VERIFIED", verified
+        ):
+            batched = apply_unitary_batch(states, matrix, qubits, num_qubits)
+            for i in range(batch):
+                scalar = apply_unitary(states[i], matrix, qubits, num_qubits)
+                assert np.array_equal(batched[i], scalar)
+
+            rows = simulate_statevector_batch(circuit, fault_sets, initial)
+        for row, faults in zip(rows, fault_sets):
+            scalar = simulate_statevector(
+                circuit, initial_state=initial, faults=faults
+            )
+            # |amplitude|**2 bitwise: a Pauli may flip an exact zero's
+            # sign, which no probability can see.
+            assert (np.abs(row) ** 2).tobytes() == (
+                np.abs(scalar) ** 2
+            ).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
