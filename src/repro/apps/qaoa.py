@@ -23,12 +23,12 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.compiler import OptimizationLevel, TriQCompiler
+from repro.compiler import OptimizationLevel
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.sim.statevector import simulate_statevector
-from repro.sim.density import simulate_density
-from repro.apps.vqe import _compact_device_view
+from repro.sim.density import density_distribution
+from repro.apps.vqe import _noisy_density
 
 
 def ring_graph(num_nodes: int) -> nx.Graph:
@@ -144,33 +144,13 @@ def noisy_expected_cut(
 ) -> float:
     """The expected cut after compiling and running through noise."""
     circuit = qaoa_circuit(graph, result.gammas, result.betas)
-    compiler = TriQCompiler(device, level=level, day=day)
-    program = compiler.compile(circuit)
-    hardware = program.circuit.without_measurements()
-    used = sorted(set(hardware.used_qubits()) | set(program.final_placement))
-    compact = {hw: i for i, hw in enumerate(used)}
-    rho = simulate_density(
-        hardware.remap(compact, num_qubits=len(used)),
-        _compact_device_view(device, used, day),
-        day=0,
+    rho, plan = _noisy_density(circuit, device, level, day)
+    # Expected cut = sum over outcomes of P(outcome) * cut(outcome); the
+    # plan's wiring reads each program qubit from its final placement.
+    distribution = density_distribution(
+        rho, plan.wiring, plan.simulated.num_qubits
     )
-    # Expected cut = sum over basis states of P(state) * cut(state),
-    # with basis states read through the final placement.
-    probabilities = np.real(np.diag(rho))
-    n_prog = circuit.num_qubits
-    n_compact = len(used)
     values = _cut_values(graph)
-    total = 0.0
-    for state, probability in enumerate(probabilities):
-        if probability < 1e-14:
-            continue
-        program_state = 0
-        for program_qubit in range(n_prog):
-            hw_bit = (
-                state >> (n_compact - 1 - compact[
-                    program.final_placement[program_qubit]
-                ])
-            ) & 1
-            program_state = (program_state << 1) | hw_bit
-        total += probability * values[program_state]
-    return float(total)
+    return float(
+        sum(p * values[int(bits, 2)] for bits, p in distribution.items())
+    )

@@ -25,7 +25,8 @@ from scipy.optimize import minimize
 from repro.compiler import OptimizationLevel, TriQCompiler
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
-from repro.sim.density import simulate_density
+from repro.sim.density import _evolve_density
+from repro.sim.plan import SimulationPlan, plan_simulation
 from repro.sim.statevector import simulate_statevector
 
 _PAULI = {
@@ -174,84 +175,52 @@ def noisy_energy(
     The ansatz is compiled with the chosen optimization level, evolved
     exactly as a density matrix under the calibrated depolarizing
     channel model, and the Hamiltonian expectation is taken on the
-    hardware qubits the program qubits ended on.
+    hardware qubits the program qubits ended on.  The energy is read
+    from the final state directly (an idealized tomographic readout).
     """
     circuit = hardware_efficient_ansatz(
         parameters, hamiltonian.num_qubits, layers
     )
-    # The energy is taken from the final state directly (an idealized
-    # tomographic readout), so the ansatz compiles without measurement
-    # and the mapper optimizes purely for gate reliability.
-    compiler = TriQCompiler(device, level=level, day=day)
-    program = compiler.compile(circuit)
-    hardware_circuit = program.circuit.without_measurements()
-    # Restrict the density evolution to the hardware qubits actually
-    # touched — the rest of a 14- or 16-qubit machine stays in |0> and
-    # only inflates the simulation exponentially.
-    used = sorted(
-        set(hardware_circuit.used_qubits()) | set(program.final_placement)
+    rho, plan = _noisy_density(circuit, device, level, day)
+    full = _embed_hamiltonian(
+        hamiltonian, plan.wiring, plan.simulated.num_qubits
     )
-    compact = {hw: i for i, hw in enumerate(used)}
-    compact_circuit = hardware_circuit.remap(compact, num_qubits=len(used))
-    # Noise rates are keyed by hardware qubits; evaluate the channel on
-    # the compact register by relabelling the calibration lookups via a
-    # compact view of the device.
-    compact_device = _compact_device_view(device, used, day)
-    rho = simulate_density(compact_circuit, compact_device, day=0)
-    placement = tuple(compact[hw] for hw in program.final_placement)
-    full = _embed_hamiltonian(hamiltonian, placement, len(used))
     return float(np.real(np.trace(full @ rho)))
 
 
-def _compact_device_view(
-    device: Device, used: Sequence[int], day: Optional[int]
-) -> Device:
-    """A small device exposing only ``used`` qubits (renumbered)."""
-    from repro.devices.calibration import Calibration
-    from repro.devices.library import StaticCalibrationModel
-    from repro.devices.topology import Topology
-
-    calibration = device.calibration(day)
-    compact = {hw: i for i, hw in enumerate(used)}
-    edges = []
-    two_qubit_error = {}
-    for edge in device.topology.edges():
-        a, b = sorted(edge)
-        if a in compact and b in compact:
-            edges.append((compact[a], compact[b]))
-            two_qubit_error[frozenset((compact[a], compact[b]))] = (
-                calibration.edge_error(a, b)
-            )
-    reduced = Calibration(
-        two_qubit_error=two_qubit_error,
-        single_qubit_error={
-            compact[hw]: calibration.qubit_error(hw) for hw in used
-        },
-        readout_error={
-            compact[hw]: calibration.readout_error[hw] for hw in used
-        },
-    )
-    return Device(
-        name=f"{device.name} (compact view)",
-        gate_set=device.gate_set,
-        topology=Topology(len(used), edges, directed=False),
-        calibration_model=StaticCalibrationModel(reduced),
-        coherence_time_us=device.coherence_time_us,
-        gate_time_us=device.gate_time_us,
-    )
+def _noisy_density(
+    circuit: Circuit,
+    device: Device,
+    level: OptimizationLevel,
+    day: Optional[int],
+) -> Tuple[np.ndarray, SimulationPlan]:
+    """Compile ``circuit`` (without measurement, so the mapper optimizes
+    purely for gate reliability) and evolve it exactly through noise on
+    its plan's compacted register.  Program qubit ``i`` is measured into
+    cbit ``i`` from the hardware qubit it ended on, so the plan's wiring
+    carries the final placement."""
+    compiler = TriQCompiler(device, level=level, day=day)
+    program = compiler.compile(circuit)
+    measured = program.circuit.without_measurements()
+    for cbit, qubit in enumerate(program.final_placement):
+        measured.measure(qubit, cbit)
+    plan = plan_simulation(measured, device, day, density=True)
+    rho = _evolve_density(plan.simulated, plan.circuit, plan.calibration)
+    return rho, plan
 
 
 def _embed_hamiltonian(
     hamiltonian: Hamiltonian,
-    placement: Sequence[int],
+    wiring: Sequence[Tuple[int, int]],
     num_qubits: int,
 ) -> np.ndarray:
-    """Expand H onto the hardware register via the final placement."""
+    """Expand H onto the simulated register: program qubit ``i`` acts
+    on the qubit ``wiring`` measures into cbit ``i``."""
     total = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
     for term in hamiltonian.terms:
         labels = ["I"] * num_qubits
-        for program_qubit, label in enumerate(term.paulis):
-            labels[placement[program_qubit]] = label
+        for qubit, cbit in wiring:
+            labels[qubit] = term.paulis[cbit]
         op = np.array([[1.0]], dtype=complex)
         for label in labels:
             op = np.kron(op, _PAULI[label])

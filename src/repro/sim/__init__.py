@@ -9,9 +9,17 @@ calibration-driven noise:
   output distributions,
 * :mod:`repro.sim.noise` — per-gate depolarizing (random Pauli) fault
   injection driven by a device calibration, plus readout confusion,
+* :mod:`repro.sim.plan` — the one validated, compacted setup
+  (:class:`~repro.sim.plan.SimulationPlan`) every estimator below and
+  the noisy application evaluations start from,
 * :mod:`repro.sim.success` — Monte-Carlo success-rate estimation over
   fault configurations, with the analytic ESP (estimated success
-  probability) model as a fast cross-check.
+  probability) model as a fast cross-check,
+* :mod:`repro.sim.density` — exact density-matrix evolution under the
+  same noise model, the oracle the Monte-Carlo estimator is checked
+  against,
+* :mod:`repro.sim.trajectories` — shot-by-shot sampling of raw counts,
+  the closest emulation of the hardware protocol.
 
 See DESIGN.md for why this substitution preserves the paper's
 conclusions (compiler configs are ranked by accumulated gate/readout

@@ -71,6 +71,12 @@ from repro.sim.statevector import apply_unitary
 #: application to stay bit-identical.
 _MIN_GEMM_COLUMNS = 4
 
+#: Upper bound on distinct fault configurations simulated (and their
+#: outcome distributions held) at once by the Monte-Carlo estimator and
+#: trajectory sampling.  Bounds the batch's working set; keeps a
+#: 16-qubit batch under ~256 MB.
+DEFAULT_MAX_CONFIGS_IN_FLIGHT = 256
+
 #: Idle trailing qubits the self-check appends to compare a narrow
 #: register against a wide one (2**8 times the GEMM columns).
 _IDLE_CHECK_QUBITS = 8

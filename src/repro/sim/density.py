@@ -10,13 +10,13 @@ evolved *exactly* as a density matrix:
   distribution.
 
 Exponential in memory (4^n), so limited to :data:`MAX_DENSITY_QUBITS`
-(9) qubits.  :func:`exact_success_probability` evolves only the qubits
-the program touches (:func:`repro.sim.batch.compact_register`, the
-index the Monte-Carlo estimator uses), with error rates still looked up
-on the device qubits, so the limit bounds the program's width rather
-than the device's: a 4-qubit benchmark compiled for a 16-qubit machine
-is a 4-qubit density matrix.  ``tests/test_sim_density.py`` validates
-the sampling estimator against it.
+(9) qubits.  :func:`exact_success_probability` evolves the compacted
+register of a density :class:`repro.sim.plan.SimulationPlan` (only the
+qubits the program touches), with error rates still looked up on the
+device qubits, so the limit bounds the program's width rather than the
+device's: a 4-qubit benchmark compiled for a 16-qubit machine is a
+4-qubit density matrix.  ``tests/test_sim_density.py`` validates the
+sampling estimator against it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from repro.devices.calibration import Calibration
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.ir.gates import gate_matrix
-from repro.sim.batch import compact_register
-from repro.sim.noise import NoiseModel, instruction_error_probability
-from repro.sim.statevector import measurement_wiring
+from repro.sim.noise import instruction_error_probability
+from repro.sim.plan import plan_simulation
 
 #: Refuse to build density matrices beyond this size.
 MAX_DENSITY_QUBITS = 9
@@ -45,18 +44,14 @@ _PAULI = {
 }
 
 
-def _check_size(num_qubits: int) -> None:
+def zero_density(num_qubits: int) -> np.ndarray:
+    """|0...0><0...0| as a dense matrix."""
     if num_qubits > MAX_DENSITY_QUBITS:
         raise ValueError(
             f"density-matrix simulation of {num_qubits} qubits needs "
             f"4^{num_qubits} complex entries; limit is "
             f"{MAX_DENSITY_QUBITS} qubits"
         )
-
-
-def zero_density(num_qubits: int) -> np.ndarray:
-    """|0...0><0...0| as a dense matrix."""
-    _check_size(num_qubits)
     rho = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
     rho[0, 0] = 1.0
     return rho
@@ -153,7 +148,6 @@ def _evolve_density(
     instruction at the same position of ``physical`` (the same circuit
     on the device register)."""
     n = simulated.num_qubits
-    _check_size(n)
     rho = zero_density(n)
     for inst, device_inst in zip(simulated, physical):
         if not inst.is_unitary:
@@ -200,22 +194,10 @@ def exact_success_probability(
     This is the quantity :func:`repro.sim.monte_carlo_success_rate`
     estimates by sampling; the two must agree within sampling error.
     """
-    wiring = measurement_wiring(circuit)
-    if not wiring:
-        raise ValueError("circuit has no measurements")
-    simulated, index = compact_register(circuit) or (
-        circuit, {q: q for q in range(circuit.num_qubits)}
-    )
-    rho = _evolve_density(simulated, circuit, device.calibration(day))
+    plan = plan_simulation(circuit, device, day, density=True)
+    plan.check_answer(correct)
+    rho = _evolve_density(plan.simulated, plan.circuit, plan.calibration)
     distribution = density_distribution(
-        rho, [(index[q], cbit) for q, cbit in wiring], simulated.num_qubits
+        rho, plan.wiring, plan.simulated.num_qubits
     )
-    model = NoiseModel.from_device(device, circuit, day)
-    total = 0.0
-    for bits, probability in distribution.items():
-        factor = probability
-        for qubit, cbit in wiring:
-            flip = model.readout_error.get(qubit, 0.0)
-            factor *= (1.0 - flip) if bits[cbit] == correct[cbit] else flip
-        total += factor
-    return total
+    return plan.correct_probability(distribution, correct)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,22 +26,17 @@ from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.obs.tracer import span as obs_span
 from repro.sim.batch import (
-    _wide_kernel_bit_identical,
+    DEFAULT_MAX_CONFIGS_IN_FLIGHT,
     chunked,
-    compact_register,
     simulate_statevector_batch,
 )
 from repro.sim.noise import DistinctConfigs, NoiseModel
+from repro.sim.plan import plan_simulation, readout_corrected_probability
 from repro.sim.statevector import (
     distribution_from_state,
     measurement_wiring,
     simulate_statevector,
 )
-
-#: Upper bound on distinct fault configurations simulated at once by
-#: the batched Monte-Carlo estimator (mirrors
-#: :data:`repro.sim.trajectories.DEFAULT_MAX_CONFIGS_IN_FLIGHT`).
-_MAX_CONFIGS_IN_FLIGHT = 256
 
 
 @dataclass(frozen=True)
@@ -59,36 +54,6 @@ class SuccessEstimate:
             raise ValueError(f"success rate {self.success_rate} out of range")
 
 
-def _readout_corrected_correct_probability(
-    distribution: Dict[str, float],
-    correct: str,
-    wiring: Sequence[Tuple[int, int]],
-    readout_error: Dict[int, float],
-) -> float:
-    """P(measured == correct) after independent per-bit readout flips."""
-    total = 0.0
-    for bits, prob in distribution.items():
-        factor = prob
-        for qubit, cbit in wiring:
-            flip = readout_error.get(qubit, 0.0)
-            factor *= (1.0 - flip) if bits[cbit] == correct[cbit] else flip
-        total += factor
-    return total
-
-
-def _check_correct(circuit: Circuit, correct: str) -> Sequence[Tuple[int, int]]:
-    wiring = measurement_wiring(circuit)
-    if not wiring:
-        raise ValueError(f"circuit {circuit.name!r} has no measurements")
-    num_cbits = max(cbit for _, cbit in wiring) + 1
-    if len(correct) != num_cbits:
-        raise ValueError(
-            f"correct answer {correct!r} has {len(correct)} bits but the "
-            f"circuit measures into {num_cbits} classical bits"
-        )
-    return wiring
-
-
 def coherence_survival(circuit: Circuit, device: Device) -> float:
     """Fraction of state coherence surviving the circuit's duration.
 
@@ -104,39 +69,6 @@ def coherence_survival(circuit: Circuit, device: Device) -> float:
     return math.exp(-duration_us / device.coherence_time_us)
 
 
-def _simulated_register(
-    circuit: Circuit,
-    wiring: Sequence[Tuple[int, int]],
-    readout_error: Dict[int, float],
-) -> Tuple[Circuit, Dict[int, int], List[Tuple[int, int]], Dict[int, float]]:
-    """Where the statevector engine runs ``circuit``.
-
-    Returns the circuit to simulate, the device -> simulated qubit
-    index, and the measurement wiring and readout table through that
-    index.  The register is compacted to the touched qubits
-    (:func:`repro.sim.batch.compact_register`) only when this BLAS
-    passed the width-invariance self-check, so every float downstream
-    stays bit-identical to the full-register simulation.
-    """
-    compact = compact_register(circuit)
-    if compact is None or not _wide_kernel_bit_identical():
-        compact = circuit, {q: q for q in range(circuit.num_qubits)}
-    simulated, index = compact
-    sim_wiring = [(index[q], cbit) for q, cbit in wiring]
-    sim_readout = {index[q]: readout_error.get(q, 0.0) for q, _ in wiring}
-    return simulated, index, sim_wiring, sim_readout
-
-
-def _readout_survival(
-    wiring: Sequence[Tuple[int, int]], readout_error: Dict[int, float]
-) -> float:
-    """Probability that no measured bit suffers a readout flip."""
-    survival = 1.0
-    for qubit, _ in wiring:
-        survival *= 1.0 - readout_error.get(qubit, 0.0)
-    return survival
-
-
 def estimated_success_probability(
     circuit: Circuit,
     device: Device,
@@ -145,20 +77,10 @@ def estimated_success_probability(
     include_coherence: bool = False,
 ) -> float:
     """Analytic ESP: clean-run probability x readout survival x ideal."""
-    wiring = _check_correct(circuit, correct)
-    model = NoiseModel.from_device(device, circuit, day)
-    simulated, _, wiring, readout = _simulated_register(
-        circuit, wiring, model.readout_error
-    )
-    distribution = distribution_from_state(
-        simulate_statevector(simulated), wiring, simulated.num_qubits
-    )
-    ideal = distribution.get(correct, 0.0)
-    esp = (
-        model.no_fault_probability()
-        * _readout_survival(wiring, readout)
-        * ideal
-    )
+    plan = plan_simulation(circuit, device, day)
+    plan.check_answer(correct)
+    ideal = plan.ideal_distribution().get(correct, 0.0)
+    esp = plan.model.no_fault_probability() * plan.readout_survival() * ideal
     if include_coherence:
         esp *= coherence_survival(circuit, device)
     return esp
@@ -195,28 +117,20 @@ def monte_carlo_success_rate(
     simulator is deterministic, and float addition happens in the same
     order either way.
     """
-    wiring = _check_correct(circuit, correct)
-    model = NoiseModel.from_device(device, circuit, day)
+    plan = plan_simulation(circuit, device, day)
+    plan.check_answer(correct)
+    model = plan.model
     rng = np.random.default_rng(seed)
-    # The noise model, RNG stream and fault positions stay on the
-    # device register; only the statevector engine sees the compacted
-    # one, reached through ``qubit_index``.
-    simulated, qubit_index, sim_wiring, readout = _simulated_register(
-        circuit, wiring, model.readout_error
-    )
+    simulated = plan.simulated
     n = simulated.num_qubits
 
-    # A batch of one is the scalar engine's own BLAS call per gate.
-    ideal_state = simulate_statevector_batch(simulated, [None])[0]
-    ideal_distribution = distribution_from_state(ideal_state, sim_wiring, n)
+    ideal_distribution = plan.ideal_distribution()
     ideal_rate = ideal_distribution.get(correct, 0.0)
-    clean_correct = _readout_corrected_correct_probability(
-        ideal_distribution, correct, sim_wiring, readout
-    )
+    clean_correct = plan.correct_probability(ideal_distribution, correct)
 
     p_clean = model.no_fault_probability()
     # estimated_success_probability's product, from the same floats.
-    esp = p_clean * _readout_survival(sim_wiring, readout) * ideal_rate
+    esp = p_clean * plan.readout_survival() * ideal_rate
 
     faulty_weight = 1.0 - p_clean
     faulty_mean = 0.0
@@ -231,7 +145,7 @@ def monte_carlo_success_rate(
             device_qubits=circuit.num_qubits,
         ) as sp:
             sample_config = np.empty(fault_samples, dtype=np.intp)
-            configs = DistinctConfigs(model, qubit_index)
+            configs = DistinctConfigs(model, plan.index)
             attempts = 0
             for s in range(fault_samples):
                 config, tries = model.sample_faulty(rng)
@@ -239,18 +153,16 @@ def monte_carlo_success_rate(
                 sample_config[s] = configs.add(config)
             config_correct = np.empty(len(configs), dtype=float)
             config_order = list(range(len(configs)))
-            for chunk in chunked(config_order, _MAX_CONFIGS_IN_FLIGHT):
+            for chunk in chunked(config_order, DEFAULT_MAX_CONFIGS_IN_FLIGHT):
                 states = simulate_statevector_batch(
                     simulated, [configs.injections[c] for c in chunk]
                 )
                 for row, config in enumerate(chunk):
                     distribution = distribution_from_state(
-                        states[row], sim_wiring, n
+                        states[row], plan.wiring, n
                     )
-                    config_correct[config] = (
-                        _readout_corrected_correct_probability(
-                            distribution, correct, sim_wiring, readout
-                        )
+                    config_correct[config] = plan.correct_probability(
+                        distribution, correct
                     )
             acc = 0.0
             for s in range(fault_samples):
@@ -267,7 +179,7 @@ def monte_carlo_success_rate(
     if include_coherence:
         # Decohered runs give an information-free uniform outcome.
         survival = coherence_survival(circuit, device)
-        uniform = 1.0 / 2 ** len(wiring)
+        uniform = 1.0 / 2 ** len(plan.wiring)
         success = survival * success + (1.0 - survival) * uniform
     return SuccessEstimate(
         success_rate=min(success, 1.0),
@@ -290,7 +202,7 @@ def _reference_monte_carlo_success_rate(
     """The legacy one-sample-at-a-time estimator, kept for the
     differential suite: :func:`monte_carlo_success_rate` must return
     bit-identical floats."""
-    wiring = _check_correct(circuit, correct)
+    wiring = measurement_wiring(circuit)
     model = NoiseModel.from_device(device, circuit, day)
     rng = np.random.default_rng(seed)
 
@@ -299,12 +211,15 @@ def _reference_monte_carlo_success_rate(
         ideal_state, wiring, circuit.num_qubits
     )
     ideal_rate = ideal_distribution.get(correct, 0.0)
-    clean_correct = _readout_corrected_correct_probability(
+    clean_correct = readout_corrected_probability(
         ideal_distribution, correct, wiring, model.readout_error
     )
 
     p_clean = model.no_fault_probability()
-    esp = estimated_success_probability(circuit, device, correct, day)
+    survival = 1.0
+    for qubit, _ in wiring:
+        survival *= 1.0 - model.readout_error.get(qubit, 0.0)
+    esp = p_clean * survival * ideal_rate
 
     faulty_weight = 1.0 - p_clean
     faulty_mean = 0.0
@@ -318,7 +233,7 @@ def _reference_monte_carlo_success_rate(
             distribution = distribution_from_state(
                 state, wiring, circuit.num_qubits
             )
-            acc += _readout_corrected_correct_probability(
+            acc += readout_corrected_probability(
                 distribution, correct, wiring, model.readout_error
             )
         samples_used = fault_samples

@@ -13,18 +13,21 @@ replays the legacy per-trial RNG stream exactly (fault draws, one
 outcome uniform, one readout uniform per measured bit), collecting the
 *distinct* fault configurations.  Phase two simulates those
 configurations through the batched engine
-(:func:`repro.sim.batch.simulate_statevector_batch`), in bounded chunks
+(:func:`repro.sim.batch.simulate_statevector_batch`) on the compacted
+register of a :class:`repro.sim.plan.SimulationPlan`, in bounded chunks
 so the *statevector* working set stays
 O(``max_configs_in_flight`` x ``2**n``) however many distinct patterns
 the trials draw (the pre-drawn per-trial uniforms and per-configuration
 injection lists still scale with ``trials`` and the number of distinct
 patterns — small next to the statevectors).  Phase three converts each
-trial's
-pre-drawn uniforms into an outcome and classical bits.  Because the
+trial's pre-drawn uniforms into an outcome and classical bits.  The
 batched engine is bit-identical to the scalar simulator and the
-uniform-to-outcome inversion replays ``Generator.choice`` exactly, the
-returned ``Counter`` is identical to the legacy loop's (kept as
-:func:`_reference_sample_counts` for the differential suite).
+uniform-to-outcome inversion replays ``Generator.choice`` exactly; the
+one float the compacted register can move is the last bit of the
+normalizing ``probabilities.sum()``, a pairwise sum whose grouping
+depends on the register width.  The differential suite proves the
+returned ``Counter`` equal to the legacy full-register loop's (kept as
+:func:`_reference_sample_counts`).
 """
 
 from __future__ import annotations
@@ -37,22 +40,21 @@ import numpy as np
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.obs.tracer import span as obs_span
-from repro.sim.batch import chunked, simulate_statevector_batch
+from repro.sim.batch import (
+    DEFAULT_MAX_CONFIGS_IN_FLIGHT,
+    chunked,
+    simulate_statevector_batch,
+)
 from repro.sim.noise import (
     DistinctConfigs,
     NoiseModel,
     fault_config_key as _fault_key,
 )
+from repro.sim.plan import plan_simulation
 from repro.sim.statevector import (
     measurement_wiring,
     simulate_statevector,
 )
-
-#: Upper bound on distinct fault configurations simulated (and their
-#: outcome distributions held) at once.  Bounds the batched path's
-#: working set and the reference path's per-call cache; the default
-#: keeps a 16-qubit batch under ~256 MB.
-DEFAULT_MAX_CONFIGS_IN_FLIGHT = 256
 
 
 def sample_counts(
@@ -76,25 +78,27 @@ def sample_counts(
     configuration — still grows with ``trials`` and the distinct-pattern
     count.
     """
-    wiring = measurement_wiring(circuit)
-    if not wiring:
-        raise ValueError("circuit has no measurements")
+    plan = plan_simulation(circuit, device, day)
     if trials < 1:
         raise ValueError("need at least one trial")
-    model = NoiseModel.from_device(device, circuit, day)
+    model = plan.model
     rng = np.random.default_rng(seed)
-    num_cbits = max(cbit for _, cbit in wiring) + 1
-    n = circuit.num_qubits
+    wiring = plan.wiring
+    n = plan.simulated.num_qubits
     num_bits = len(wiring)
 
     with obs_span(
-        "simulate.trajectories", circuit=circuit.name, trials=trials
+        "simulate.trajectories",
+        circuit=circuit.name,
+        trials=trials,
+        state_qubits=n,
+        device_qubits=circuit.num_qubits,
     ) as sp:
         # Phase 1: replay the legacy RNG stream trial by trial.  Each
         # trial consumed: the fault draws, one uniform for the outcome
         # (Generator.choice with probabilities draws exactly one), and
         # one uniform per measured bit for readout flips.
-        configs = DistinctConfigs(model)
+        configs = DistinctConfigs(model, plan.index)
         trial_config = np.empty(trials, dtype=np.intp)
         trial_outcome_u = np.empty(trials, dtype=float)
         trial_flip_u = np.empty((trials, num_bits), dtype=float)
@@ -116,9 +120,7 @@ def sample_counts(
             trials_by_config[trial_config[t]].append(t)
 
         shifts = np.array([n - 1 - qubit for qubit, _ in wiring])
-        flip_rates = np.array(
-            [model.readout_error.get(qubit, 0.0) for qubit, _ in wiring]
-        )
+        flip_rates = np.array([plan.readout[qubit] for qubit, _ in wiring])
         # Measured bits pack into an integer code (wiring order); each
         # code renders to its classical bitstring once.
         weights = 1 << np.arange(num_bits)
@@ -127,7 +129,7 @@ def sample_counts(
         config_order = list(range(len(configs)))
         for chunk in chunked(config_order, max_configs_in_flight):
             states = simulate_statevector_batch(
-                circuit, [configs.injections[c] for c in chunk]
+                plan.simulated, [configs.injections[c] for c in chunk]
             )
             for row, config in enumerate(chunk):
                 # The exact legacy float expressions, then the exact
@@ -152,7 +154,7 @@ def sample_counts(
                 for code, count in zip(codes, multiplicity):
                     key = code_strings.get(int(code))
                     if key is None:
-                        bits = ["0"] * num_cbits
+                        bits = ["0"] * plan.num_cbits
                         for j, (_, cbit) in enumerate(wiring):
                             bits[cbit] = "1" if (code >> j) & 1 else "0"
                         key = "".join(bits)

@@ -62,11 +62,30 @@ def _compiled_random(device, seed, num_qubits=3, num_gates=10):
     return compiler.compile(circuit).circuit
 
 
-@pytest.mark.parametrize("device_name", DEVICE_NAMES)
-@pytest.mark.parametrize("seed", [11, 29])
-def test_trajectory_counts_exactly_equal(device_name, seed):
+def _compiled_benchmark(device, name):
+    """A suite benchmark compiled onto ``device``, and its answer."""
+    circuit, correct = benchmark_by_name(name).build()
+    compiler = TriQCompiler(
+        device, level=OptimizationLevel.OPT_1QCN, time_limit_s=None
+    )
+    return compiler.compile(circuit).circuit, correct
+
+
+@pytest.mark.parametrize(
+    "workload,device_name",
+    [(seed, name) for seed in (11, 29) for name in DEVICE_NAMES]
+    # HS2 touches two qubits, which the compacted register pads to four.
+    + [("HS2", "Rigetti Aspen1"), ("HS2", "Rigetti Aspen3")],
+)
+def test_trajectory_counts_exactly_equal(workload, device_name):
+    """The compacted, batched sampler against the full-register scalar
+    reference: its ``probabilities.sum()`` runs over a different number
+    of entries, so only equal Counters prove the outcomes unchanged."""
     device = DEVICES[device_name]
-    compiled = _compiled_random(device, seed)
+    if workload == "HS2":
+        compiled, _ = _compiled_benchmark(device, workload)
+    else:
+        compiled = _compiled_random(device, workload)
     # Fewer trials on the wide devices: the scalar reference simulates
     # a 2**14/2**16 statevector per distinct fault configuration.
     trials = 120 if device.num_qubits <= 8 else 50
@@ -180,11 +199,7 @@ class TestCompactedRegister:
     @staticmethod
     def _compiled_hs2(device_short):
         device = device_by_name(device_short)
-        circuit, correct = benchmark_by_name("HS2").build()
-        compiler = TriQCompiler(
-            device, level=OptimizationLevel.OPT_1QCN, time_limit_s=None
-        )
-        return device, compiler.compile(circuit).circuit, correct
+        return (device,) + _compiled_benchmark(device, "HS2")
 
     @pytest.mark.parametrize("device_short", ["aspen1", "aspen3"])
     def test_two_touched_qubits_pad_to_gemm_width(self, device_short):

@@ -254,6 +254,10 @@ class TestSimulateSpan:
         ]
         assert trajectories.attrs["sample_attempts"] == 64
         assert 1 <= trajectories.attrs["distinct_fault_configs"] <= 64
+        # Both estimators simulate the same plan's compacted register.
+        assert trajectories.attrs["device_qubits"] == 16
+        assert trajectories.attrs["state_qubits"] == 4
+        assert success.attrs["state_qubits"] == 4
 
 
 class TestJournalRecords:

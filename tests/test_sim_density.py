@@ -196,3 +196,25 @@ class TestWideDeviceOracle:
         sigma = (1.0 - estimate.no_fault_probability) / (2 * samples**0.5)
         assert abs(estimate.success_rate - exact) <= 5 * sigma
 
+    def test_density_plan_compacts_without_the_wide_kernel(
+        self, monkeypatch
+    ):
+        """A failed BLAS self-check keeps statevector plans on the
+        device register; a density plan compacts regardless, since a
+        16-qubit density matrix would not fit."""
+        import repro.sim.batch as batch
+        from repro import api
+        from repro.devices import device_by_name
+        from repro.sim.plan import plan_simulation
+
+        result = api.compile("HS2", device="rueschlikon")
+        circuit = result.program.circuit
+        hardware = device_by_name("rueschlikon")
+        monkeypatch.setattr(batch, "_WIDE_KERNEL_VERIFIED", False)
+        full = plan_simulation(circuit, hardware)
+        compact = plan_simulation(circuit, hardware, density=True)
+        assert full.simulated.num_qubits == 16
+        assert compact.simulated.num_qubits == 4
+        assert 0.0 < exact_success_probability(
+            circuit, hardware, result.correct
+        ) < 1.0

@@ -3,11 +3,20 @@
 import pytest
 
 from tests.helpers import make_device, make_noiseless_device
-from repro.devices import Topology
+from repro.devices import Topology, ibmq5_tenerife
 from repro.ir import Circuit
 from repro.sim import (
     estimated_success_probability,
     monte_carlo_success_rate,
+)
+from repro.sim.density import exact_success_probability
+from repro.sim.trajectories import sample_counts
+
+#: Every estimator that scores a correct answer.
+ANSWER_ESTIMATORS = (
+    estimated_success_probability,
+    monte_carlo_success_rate,
+    exact_success_probability,
 )
 
 
@@ -40,9 +49,22 @@ class TestEsp:
         assert esp == pytest.approx(0.5, abs=1e-3)
 
     def test_wrong_answer_length_rejected(self):
+        # One check guards every estimator: a short answer must not
+        # index past its end, nor a long one score only its prefix.
         device = make_noiseless_device(Topology.line(2))
-        with pytest.raises(ValueError, match="bits"):
-            estimated_success_probability(bell_circuit(), device, "1")
+        for estimator in ANSWER_ESTIMATORS:
+            for answer in ("1", "111"):
+                with pytest.raises(ValueError, match="measures into 2 "):
+                    estimator(bell_circuit(), device, answer)
+
+    def test_circuit_wider_than_device_rejected(self):
+        circuit = Circuit(7, name="wide").h(0).x(6).measure_all()
+        device = ibmq5_tenerife()
+        for estimator in ANSWER_ESTIMATORS:
+            with pytest.raises(ValueError, match="spans 7 qubits.*only 5"):
+                estimator(circuit, device, "0" * 7)
+        with pytest.raises(ValueError, match="spans 7 qubits.*only 5"):
+            sample_counts(circuit, device, trials=4)
 
     def test_no_measurement_rejected(self):
         device = make_noiseless_device(Topology.line(2))
