@@ -379,7 +379,9 @@ def sweep(
     through the distributed coordinator instead
     (:func:`repro.experiments.distributed.run_distributed_sweep`); the
     two paths plan identically, so run ids, journals, and task digests
-    are interchangeable between them.
+    are interchangeable between them.  Remote workers record no traces
+    or profiles, so an enabled ``obs`` with ``workers_from`` raises
+    :class:`ValueError` rather than silently writing nothing.
     """
     kwargs["options"] = CompileOptions(
         contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
@@ -388,8 +390,13 @@ def sweep(
     if workers_from is not None:
         from repro.experiments.distributed import run_distributed_sweep
 
+        obs = kwargs.pop("obs", None)
+        if obs is not None and obs.enabled:
+            raise ValueError(
+                "observability (--profile/--obs-dir) is not supported on "
+                "distributed sweeps (--workers-from); drop one of them"
+            )
         kwargs.pop("workers", None)  # fleet size comes from the spec
-        kwargs.pop("obs", None)  # per-worker obs is not wired up yet
         return SweepResult.from_report(
             run_distributed_sweep(
                 device,

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.compiler import CompiledProgram
 from repro.experiments.faults import TaskFailure
-from repro.experiments.parallel import SweepReport
+from repro.experiments.ledger import SweepReport
 from repro.experiments.runner import Measurement
 
 

@@ -312,26 +312,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             lease_ttl_s=args.lease_ttl,
             worker_wait_s=args.worker_wait,
         )
-    result = api.sweep(
-        args.device,
-        args.levels,
-        benchmarks=benchmarks,
-        day=args.day,
-        fault_samples=args.fault_samples,
-        with_success=not args.no_success,
-        workers=args.workers,
-        cache=_open_cli_cache(args),
-        base_seed=args.seed,
-        task_timeout_s=args.task_timeout,
-        retries=args.retries,
-        days=days,
-        skip_bad_days=args.skip_bad_days,
-        run_id=run_id,
-        resume=resume,
-        obs=_cli_obs_config(args),
-        **_compile_knobs(args),
-        **distributed,
-    )
+    try:
+        result = api.sweep(
+            args.device,
+            args.levels,
+            benchmarks=benchmarks,
+            day=args.day,
+            fault_samples=args.fault_samples,
+            with_success=not args.no_success,
+            workers=args.workers,
+            cache=_open_cli_cache(args),
+            base_seed=args.seed,
+            task_timeout_s=args.task_timeout,
+            retries=args.retries,
+            days=days,
+            skip_bad_days=args.skip_bad_days,
+            run_id=run_id,
+            resume=resume,
+            obs=_cli_obs_config(args),
+            **_compile_knobs(args),
+            **distributed,
+        )
+    except ValueError as exc:
+        # A rejected configuration (a bad --workers-from spec, a bad
+        # calibration day without --skip-bad-days, observability on a
+        # distributed sweep); failing cells never raise, they are
+        # reported below.
+        print(f"repro sweep: {exc}", file=sys.stderr)
+        return 2
     headers = ["Benchmark", "Compiler", "2Q", "1Q pulses", "Depth", "Swaps"]
     rows = [
         [m.benchmark, m.compiler, m.two_qubit_gates, m.one_qubit_pulses,

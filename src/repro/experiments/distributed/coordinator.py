@@ -20,6 +20,12 @@ state outright:
   restarted coordinator rebuilds exact progress from the journal and
   merely re-leases what was in flight.
 
+What a completion or a raised attempt means — journal once, retry under
+the policy, or record the failure — is decided by the same
+:class:`~repro.experiments.ledger.CellLedger` the single-machine
+executors use; :class:`CoordinatorState` adds leases, heartbeats,
+steals, the requeue limit and the ``repro_dist_*`` counters.
+
 All state lives in :class:`CoordinatorState` and is mutated only from
 the event loop thread — handlers never await between read and write —
 so there is no locking.  The HTTP framing is the same
@@ -34,19 +40,18 @@ import logging
 import os
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.experiments.distributed.protocol import task_to_wire
 from repro.experiments.faults import (
     RetryPolicy,
-    TaskFailure,
     forced_lease_expiry,
     maybe_inject_coordinator_fault,
 )
 from repro.experiments.journal import SweepJournal
+from repro.experiments.ledger import CellLedger
 from repro.experiments.plan import SweepPlan
 from repro.obs import MetricsRegistry
 from repro.service.http import (
@@ -92,17 +97,11 @@ class CoordinatorState:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.plan = plan
-        self.journal = journal
-        self.policy = policy
+        #: Results (wire dicts from workers), failures and the queue.
+        self.ledger = CellLedger(plan, journal, policy)
         self.lease_ttl_s = lease_ttl_s
         self.requeue_limit = requeue_limit
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: index -> (measurement wire dict, report wire dict).
-        self.results: Dict[int, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
-        self.failures: List[TaskFailure] = []
-        self.failed: Set[int] = set()
-        #: (index, attempt, earliest dispatch time, monotonic clock).
-        self.pending: Deque[Tuple[int, int, float]] = deque()
         self.leases: Dict[int, Lease] = {}
         #: worker id -> last contact (wall clock, for status display).
         self.workers: Dict[str, float] = {}
@@ -149,22 +148,11 @@ class CoordinatorState:
     # ------------------------------------------------------------------
     def prefill(self, results: Dict[int, Tuple[Any, Any]]) -> None:
         """Adopt journal-replayed cells (kept as objects, never re-run)."""
-        for index, (measurement, report) in results.items():
-            self.results[index] = (measurement, report)
-
-    def enqueue_unfinished(self) -> None:
-        """Queue every cell not already settled, in plan order."""
-        for index in range(len(self.plan.tasks)):
-            if index not in self.results and index not in self.failed:
-                self.pending.append((index, 1, 0.0))
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.plan.tasks) - len(self.results) - len(self.failed)
+        self.ledger.adopt(results)
 
     @property
     def done(self) -> bool:
-        return self.outstanding == 0
+        return self.ledger.done
 
     # ------------------------------------------------------------------
     def touch_worker(self, worker: str) -> None:
@@ -173,34 +161,29 @@ class CoordinatorState:
     def grant(self, worker: str) -> Optional[Dict[str, Any]]:
         """Lease the first due pending cell to ``worker``, if any."""
         now = time.monotonic()
-        for _ in range(len(self.pending)):
-            index, attempt, not_before = self.pending.popleft()
-            if index in self.results or index in self.failed:
-                continue  # settled while queued (late completion)
-            if not_before > now:
-                self.pending.append((index, attempt, not_before))
-                continue
-            task = self.plan.tasks[index]
-            self.leases[index] = Lease(
-                index=index,
-                worker=worker,
-                attempt=attempt,
-                expires_mono=now + self.lease_ttl_s,
-                granted_mono=now,
-            )
-            self._leases_total.inc(worker=worker)
-            previous = self.last_owner.get(index)
-            if previous is not None and previous != worker:
-                self._steals_total.inc()
-            self.last_owner[index] = worker
-            self.write_state()
-            return {
-                "task": task_to_wire(task),
-                "digest": self.plan.digests[index],
-                "attempt": attempt,
-                "lease_ttl_s": self.lease_ttl_s,
-            }
-        return None
+        item = self.ledger.next_due(now)
+        if item is None:
+            return None
+        index, attempt = item
+        self.leases[index] = Lease(
+            index=index,
+            worker=worker,
+            attempt=attempt,
+            expires_mono=now + self.lease_ttl_s,
+            granted_mono=now,
+        )
+        self._leases_total.inc(worker=worker)
+        previous = self.last_owner.get(index)
+        if previous is not None and previous != worker:
+            self._steals_total.inc()
+        self.last_owner[index] = worker
+        self.write_state()
+        return {
+            "task": task_to_wire(self.plan.tasks[index]),
+            "digest": self.plan.digests[index],
+            "attempt": attempt,
+            "lease_ttl_s": self.lease_ttl_s,
+        }
 
     def heartbeat(self, worker: str, digest: str) -> bool:
         """Renew the worker's lease on ``digest``; False if not held."""
@@ -226,7 +209,9 @@ class CoordinatorState:
         index = self.plan.index_of(digest)
         if index is None:
             return {"accepted": False, "duplicate": False, "unknown": True}
-        if index in self.results or index in self.failed:
+        # The ledger journals before it records, so a coordinator dying
+        # after the fsync restarts with the cell finished.
+        if not self.ledger.accept(index, measurement, report):
             self.duplicates += 1
             self._duplicates_total.inc()
             logger.info(
@@ -235,11 +220,6 @@ class CoordinatorState:
                 digest[:12], worker,
             )
             return {"accepted": False, "duplicate": True}
-        # Journal first: if we die between the fsync and the bookkeeping
-        # below, a restarted coordinator replays the cell as finished —
-        # losing nothing, double-counting nothing.
-        self.journal.record(digest, measurement, report)
-        self.results[index] = (measurement, report)
         self.leases.pop(index, None)
         self.completions += 1
         self._completions_total.inc(worker=worker)
@@ -263,38 +243,18 @@ class CoordinatorState:
         index = self.plan.index_of(digest)
         if index is None:
             return {"requeued": False, "unknown": True}
-        if index in self.results or index in self.failed:
+        if self.ledger.settled(index):
             return {"requeued": False}
         self.leases.pop(index, None)
-        task = self.plan.tasks[index]
-        if attempt <= self.policy.retries:
-            delay = self.policy.delay(attempt, digest)
-            logger.warning(
-                "task %s/%s error on %s (attempt %d: %s); requeueing in %.2fs",
-                task.benchmark, task.compiler, worker, attempt, message, delay,
-            )
-            self.pending.append((index, attempt + 1, time.monotonic() + delay))
+        requeued = self.ledger.retry_or_fail(
+            index, attempt, "error", error_type, message, tb, elapsed_s
+        ) is not None
+        if requeued:
             self._requeues_total.inc(reason="error")
-            self.write_state()
-            return {"requeued": True}
-        self.failures.append(
-            TaskFailure(
-                benchmark=task.benchmark,
-                device=task.device,
-                compiler=task.compiler,
-                day=task.day,
-                kind="error",
-                error_type=error_type,
-                message=message,
-                traceback=tb,
-                attempts=attempt,
-                elapsed_s=elapsed_s,
-            )
-        )
-        self.failed.add(index)
-        self._failures_total.inc(kind="error")
+        else:
+            self._failures_total.inc(kind="error")
         self.write_state()
-        return {"requeued": False}
+        return {"requeued": requeued}
 
     def expire_due_leases(self) -> int:
         """Requeue every lease past its TTL (or force-expired by fault)."""
@@ -324,24 +284,12 @@ class CoordinatorState:
                 "lease on %s/%s expired %d times; giving the cell up",
                 task.benchmark, task.compiler, count,
             )
-            self.failures.append(
-                TaskFailure(
-                    benchmark=task.benchmark,
-                    device=task.device,
-                    compiler=task.compiler,
-                    day=task.day,
-                    kind="lease-expired",
-                    error_type="LeaseExpired",
-                    message=(
-                        f"lease expired {count} times "
-                        f"(ttl {self.lease_ttl_s}s); owners kept vanishing"
-                    ),
-                    traceback="",
-                    attempts=lease.attempt,
-                    elapsed_s=0.0,
-                )
+            self.ledger.give_up(
+                lease.index, "lease-expired", "LeaseExpired",
+                f"lease expired {count} times "
+                f"(ttl {self.lease_ttl_s}s); owners kept vanishing",
+                "", lease.attempt, 0.0,
             )
-            self.failed.add(lease.index)
             self._failures_total.inc(kind="lease-expired")
             return
         logger.warning(
@@ -349,7 +297,7 @@ class CoordinatorState:
             task.benchmark, task.compiler, lease.worker, reason,
             lease.attempt + 1,
         )
-        self.pending.append((lease.index, lease.attempt + 1, 0.0))
+        self.ledger.requeue(lease.index, lease.attempt + 1)
         self._requeues_total.inc(reason=reason)
 
     # ------------------------------------------------------------------
@@ -359,10 +307,10 @@ class CoordinatorState:
         return {
             "run_id": self.plan.run_id,
             "total": len(self.plan.tasks),
-            "done": len(self.results),
-            "failed": len(self.failed),
+            "done": len(self.ledger.results),
+            "failed": len(self.ledger.failed),
             "leased": len(self.leases),
-            "pending": self.outstanding - len(self.leases),
+            "pending": self.ledger.outstanding - len(self.leases),
             "duplicates": self.duplicates,
             "leases": {
                 self.plan.digests[lease.index]: {
@@ -426,7 +374,7 @@ class Coordinator:
             "coordinator for run %s listening on %s (%d cells, %d already "
             "settled)",
             self.state.plan.run_id, self.url, len(self.state.plan.tasks),
-            len(self.state.results),
+            len(self.state.ledger.results),
         )
         return self.url
 

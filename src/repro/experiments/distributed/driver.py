@@ -11,10 +11,18 @@ command for remote hosts, and assembles the same
 would return — byte-identical task digests, provably, because both
 paths journal the same cells under the same run id.
 
+The driver shares its prologue with the single-machine engine
+(:func:`~repro.experiments.ledger.prepare_sweep`: cache, plan, journal
+replay or reset) and keeps no bookkeeping of its own: retries,
+failures and exactly-once journaling belong to the
+:class:`~repro.experiments.ledger.CellLedger` inside the coordinator
+state, the one owner of those rules for every executor.
+
 Graceful degradation is explicit: a sweep that cannot be distributed
 (no journal to make completions durable, no worker ever reachable, the
-whole local fleet gone) falls back to the in-process engine with the
-triggering condition recorded in ``SweepReport.fallback_reason`` —
+whole local fleet gone) falls back to the in-process engine — on the
+plan already built, after replaying whatever the fleet journaled — with
+the triggering condition recorded in ``SweepReport.fallback_reason``,
 never a silent behavior change.
 """
 
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.cache import Cache, CompileCache, open_cache
+from repro.cache import Cache, CompileCache
 from repro.compiler import DEFAULT_OPTIONS, CompileOptions
 from repro.devices.device import Device
 from repro.experiments.distributed.coordinator import (
@@ -40,22 +48,10 @@ from repro.experiments.distributed.coordinator import (
 )
 from repro.experiments.faults import RetryPolicy
 from repro.experiments.journal import SweepJournal
-from repro.experiments.parallel import (
-    SweepReport,
-    TaskReport,
-    run_sweep,
-)
-from repro.experiments.plan import (
-    SweepPlan,
-    build_sweep_plan,
-    replay_journal,
-)
-from repro.experiments.runner import (
-    DEFAULT_FAULT_SAMPLES,
-    CompilerName,
-    Measurement,
-)
-from repro.obs import sweep_metrics
+from repro.experiments.ledger import CellLedger, prepare_sweep
+from repro.experiments.parallel import SweepReport, run_in_process
+from repro.experiments.plan import SweepPlan
+from repro.experiments.runner import DEFAULT_FAULT_SAMPLES, CompilerName
 from repro.programs import Benchmark
 
 logger = logging.getLogger("repro.sweep.distributed")
@@ -307,12 +303,7 @@ class DistributedSweep:
             raise self.state.fatal
         return self
 
-    def assemble_report(
-        self,
-        started: float,
-        resumed_count: int,
-        workers_hint: Optional[int] = None,
-    ) -> SweepReport:
+    def assemble_report(self, started: float) -> SweepReport:
         """The finished run as the standard :class:`SweepReport`.
 
         Wire-dict results are rehydrated through the same dataclass
@@ -320,33 +311,12 @@ class DistributedSweep:
         byte-identical to journal-replayed ones by construction.
         """
         state = self.state
-        ordered = []
-        for index in sorted(state.results):
-            measurement, task_report = state.results[index]
-            if isinstance(measurement, dict):
-                measurement = Measurement(**measurement)
-            if isinstance(task_report, dict):
-                task_report = TaskReport(**task_report)
-            ordered.append((measurement, task_report))
-        report = SweepReport(
-            measurements=[m for m, _ in ordered],
-            tasks=[r for _, r in ordered],
-            mode="distributed",
-            workers=(
-                workers_hint
-                if workers_hint is not None
-                else max(len(state.workers), 1)
-            ),
-            total_time_s=time.perf_counter() - started,
-            cache_stats=None,  # store stats live in the worker processes
-            failures=list(state.failures),
-            fallback_reason=self.fallback_reason,
-            run_id=self.plan.run_id,
-            journal_path=self.plan.journal_path,
-            resumed=resumed_count,
-            skipped_days=list(self.plan.skipped_days),
+        report = state.ledger.report(
+            started,
+            "distributed",
+            max(len(state.workers), 1),
+            self.fallback_reason,
         )
-        report.metrics = sweep_metrics(report)
         # Fold the coordinator's lease/steal/heartbeat/requeue counters
         # into the same registry the single-machine engine populates.
         report.metrics.merge(state.registry)
@@ -394,17 +364,21 @@ def run_distributed_sweep(
     ``SweepReport.fallback_reason``.
     """
     started = time.perf_counter()
-    if cache is None and cache_dir is not None:
-        cache = open_cache(cache_dir)
     fleet = parse_workers_from(workers_from)
-    plan = build_sweep_plan(
+    policy = RetryPolicy(
+        task_timeout_s=task_timeout_s, retries=retries, backoff_s=backoff_s
+    )
+    cache, plan, ledger = prepare_sweep(
         device,
         compilers,
+        cache=cache,
+        cache_dir=cache_dir,
+        resume=resume,
+        policy=policy,
         benchmarks=benchmarks,
         day=day,
         fault_samples=fault_samples,
         with_success=with_success,
-        cache=cache,
         base_seed=base_seed,
         days=days,
         skip_bad_days=skip_bad_days,
@@ -413,28 +387,9 @@ def run_distributed_sweep(
         options=options,
     )
 
-    def fallback(reason: str, can_resume: bool) -> SweepReport:
+    def fallback(reason: str, cells: CellLedger) -> SweepReport:
         logger.warning("distributed sweep degrading to in-process: %s", reason)
-        report = run_sweep(
-            plan.device,
-            list(plan.labels),
-            benchmarks=benchmarks,
-            day=day,
-            fault_samples=fault_samples,
-            with_success=with_success,
-            workers=max(fleet.local, 1),
-            cache=cache,
-            base_seed=base_seed,
-            task_timeout_s=task_timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            days=days,
-            skip_bad_days=skip_bad_days,
-            run_id=plan.run_id,
-            resume=can_resume,
-            journal_dir=journal_dir,
-            options=options,
-        )
+        report = run_in_process(cells, cache, max(fleet.local, 1), started)
         report.fallback_reason = (
             reason
             if report.fallback_reason is None
@@ -442,36 +397,19 @@ def run_distributed_sweep(
         )
         return report
 
-    journal = plan.open_journal()
-    if journal is None:
+    if ledger.journal is None:
         # Without a journal, completions cannot be made durable and a
         # coordinator restart would lose everything: refuse to
         # distribute rather than pretend.
         return fallback(
             "no journal location (caching disabled and no --journal-dir): "
             "distributed execution requires a durable journal",
-            can_resume=False,
+            ledger,
         )
 
-    resumed_count = 0
-    if resume:
-        prefill, resumed_count = replay_journal(
-            journal, plan.digests, Measurement, TaskReport
-        )
-        logger.info(
-            "resuming run %s: %d/%d cells from journal",
-            plan.run_id, resumed_count, len(plan.tasks),
-        )
-    else:
-        journal.reset()
-        prefill = {}
-
-    policy = RetryPolicy(
-        task_timeout_s=task_timeout_s, retries=retries, backoff_s=backoff_s
-    )
     sweep = DistributedSweep(
         plan,
-        journal,
+        ledger.journal,
         policy,
         fleet,
         cache=cache,
@@ -481,11 +419,13 @@ def run_distributed_sweep(
         worker_wait_s=worker_wait_s,
         spawn_local=spawn_local,
     )
-    sweep.state.prefill(prefill)
-    sweep.state.enqueue_unfinished()
+    sweep.state.prefill(ledger.results)
     sweep.run()
 
     if sweep.fallback_reason is not None and not sweep.state.done:
-        journal.close()
-        return fallback(sweep.fallback_reason, can_resume=True)
-    return sweep.assemble_report(started, resumed_count)
+        # Replay the journal again: cells the fleet finished before it
+        # was given up on count as resumed, exactly like a --resume.
+        return fallback(
+            sweep.fallback_reason, CellLedger.open(plan, policy, resume=True)
+        )
+    return sweep.assemble_report(started)

@@ -16,7 +16,7 @@ Five POST endpoints move the sweep:
     per digest, duplicates acknowledged but dropped.
 ``/v1/fail``
     ``{"worker", "digest", "attempt", "error_type", "message",
-    "traceback"}`` -> ``{"requeued": bool}``.
+    "traceback", "elapsed_s"}`` -> ``{"requeued": bool}``.
 ``/v1/status`` (GET)
     progress snapshot; ``/metrics`` (GET) Prometheus; ``/healthz``.
 

@@ -170,6 +170,7 @@ def run_worker(
                 coordinator_url, worker_id, digest, ttl_s
             )
             heartbeat.start()
+        started = time.perf_counter()
         try:
             measurement, report = run_task(
                 task, attempt=attempt, warm_start=warm_start
@@ -188,6 +189,7 @@ def run_worker(
                         "error_type": type(exc).__name__,
                         "message": str(exc),
                         "traceback": traceback.format_exc(),
+                        "elapsed_s": time.perf_counter() - started,
                     },
                 )
             except CoordinatorUnreachable:

@@ -20,7 +20,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 from repro.cache.keys import digest
 
@@ -56,6 +56,54 @@ def run_digest(*parts: Any) -> str:
     return digest("sweep-run", list(parts))[:12]
 
 
+def read_jsonl(
+    path: Path,
+    label: str,
+    hint: str,
+    accept: Callable[[Dict[str, Any]], bool],
+) -> List[Dict[str, Any]]:
+    """Every parseable, accepted record of an append-only JSONL log.
+
+    Shared by the sweep journal and the service WAL.  The file is read
+    in binary and each line decoded leniently: a crash mid-append can
+    tear the final line anywhere — including inside a multi-byte UTF-8
+    sequence, which would make text-mode iteration itself raise.
+    Unparseable lines are skipped with a ``RuntimeWarning`` naming
+    ``label`` and ``hint`` (a torn *tail* is expected after a kill;
+    garbage mid-file is still worth hearing about), never fatal: a log
+    of work done must survive the crash's own debris.  Records that are
+    not dicts or that ``accept`` rejects (wrong version, wrong shape)
+    are dropped silently.
+    """
+    records: List[Dict[str, Any]] = []
+    try:
+        with open(path, "rb") as handle:
+            raw_lines = handle.read().split(b"\n")
+    except OSError:
+        return records
+    for index, raw in enumerate(raw_lines):
+        line = raw.decode("utf-8", errors="replace").strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            position = (
+                "truncated final line"
+                if index >= len(raw_lines) - 2
+                else f"corrupt line {index + 1}"
+            )
+            warnings.warn(
+                f"{label}: skipping {position} ({hint})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            continue
+        if isinstance(record, dict) and accept(record):
+            records.append(record)
+    return records
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint log for one sweep run."""
 
@@ -63,82 +111,37 @@ class SweepJournal:
         self.path = Path(path)
         self._handle: Optional[IO[str]] = None
 
-    # ------------------------------------------------------------------
-    def _parse(self) -> List[Dict[str, Any]]:
-        """Every parseable record in append order, warning on torn tails.
-
-        The file is read in binary and each line decoded leniently: a
-        crash mid-``record()`` can tear the final line anywhere —
-        including inside a multi-byte UTF-8 sequence, which would make
-        text-mode iteration itself raise.  Unparseable lines are
-        skipped with a warning (a torn *tail* is expected after a
-        kill; garbage mid-file is still worth hearing about), never
-        fatal: the journal is a cache of work done, not a source of
-        errors.
-        """
-        records: List[Dict[str, Any]] = []
-        try:
-            with open(self.path, "rb") as handle:
-                raw_lines = handle.read().split(b"\n")
-        except FileNotFoundError:
-            return records
-        except OSError:
-            return records
-        for index, raw in enumerate(raw_lines):
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                position = (
-                    "truncated final line"
-                    if index >= len(raw_lines) - 2
-                    else f"corrupt line {index + 1}"
-                )
-                warnings.warn(
-                    f"sweep journal {self.path}: skipping {position} "
-                    "(torn write from an interrupted run?)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                continue
-            if (
-                isinstance(record, dict)
-                and record.get("v") == JOURNAL_VERSION
-                and isinstance(record.get("task"), str)
-            ):
-                records.append(record)
-        return records
-
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Completed cells on disk: digest -> record (last write wins).
 
         Corrupt lines — a torn trailing write, stray garbage — are
         skipped with a warning; resume never raises on journal damage.
         """
-        completed: Dict[str, Dict[str, Any]] = {}
-        for record in self._parse():
-            completed[record["task"]] = record
-        return completed
+        return {record["task"]: record for record in self.records()}
 
     def records(self) -> List[Dict[str, Any]]:
         """Every parseable record, in append order (duplicates kept).
 
         :func:`load` collapses to last-write-wins per digest for resume;
-        this keeps the raw sequence, which is what post-hoc analysis
-        (``repro.obs.sweep_metrics_from_journal_records``) wants — a
-        retried cell's every recorded attempt counts.
+        this keeps the raw sequence, which is what rebuilding a run's
+        task metrics after the fact
+        (``repro.obs.sweep_metrics_from_journal_records``) wants.
         """
-        return self._parse()
+        return read_jsonl(
+            self.path,
+            f"sweep journal {self.path}",
+            "torn write from an interrupted run?",
+            lambda record: (
+                record.get("v") == JOURNAL_VERSION
+                and isinstance(record.get("task"), str)
+            ),
+        )
 
     def reset(self) -> None:
         """Drop any previous journal contents (fresh, non-resumed run)."""
         self.close()
         try:
             self.path.unlink()
-        except FileNotFoundError:
-            pass
         except OSError:
             pass
 

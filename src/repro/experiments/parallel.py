@@ -9,15 +9,18 @@ identical cells are computed once *across* figure scripts and worker
 processes.
 
 Fault tolerance: the pool is supervised, not fire-and-forget.  A dead
-worker poisons only the task it was running — the supervisor records a
-structured :class:`TaskFailure` (or retries under the
-:class:`RetryPolicy`) and replenishes the pool; a task past its
-wall-clock deadline is terminated the same way; an ordinary exception
-inside a task is caught in the worker and reported without killing it.
-Completed cells stream into an append-only checkpoint journal (see
-:mod:`repro.experiments.journal`), so an interrupted sweep resumes with
-``resume=True`` / ``repro sweep --resume`` and replays only unfinished
-cells.
+worker poisons only the task it was running — the supervisor replaces
+it; a task past its wall-clock deadline is terminated the same way; an
+ordinary exception inside a task is caught in the worker and reported
+without killing it.  What an attempt's end means — retry under the
+:class:`~repro.experiments.faults.RetryPolicy`, a structured
+:class:`~repro.experiments.faults.TaskFailure`, a journaled result — is
+decided by one :class:`~repro.experiments.ledger.CellLedger`, the same
+one the serial loop and the distributed coordinator settle cells
+through.  Completed cells stream into an append-only checkpoint journal
+(see :mod:`repro.experiments.journal`), so an interrupted sweep resumes
+with ``resume=True`` / ``repro sweep --resume`` and replays only
+unfinished cells.
 
 Determinism: every task carries explicit seeds.  By default the legacy
 constants are used (compile seed 0, Monte-Carlo seed 1234 — exactly
@@ -39,7 +42,6 @@ triggering condition is logged and recorded in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import multiprocessing
@@ -47,46 +49,24 @@ import os
 import queue as queue_module
 import time
 import traceback
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from repro.cache import (
-    Cache,
-    CacheStats,
-    activate_cache,
-    get_active_cache,
-    open_cache,
-)
+from repro.cache import Cache, activate_cache, get_active_cache, open_cache
+from repro.compiler import DEFAULT_OPTIONS, CompileOptions
 from repro.devices import device_by_name
 from repro.devices.device import Device
-from repro.experiments.faults import (
-    RetryPolicy,
-    TaskFailure,
-    maybe_inject_fault,
+from repro.experiments.faults import RetryPolicy, maybe_inject_fault
+from repro.experiments.ledger import (
+    CellLedger,
+    SweepReport,
+    TaskReport,
+    prepare_sweep,
 )
-from repro.compiler import DEFAULT_OPTIONS, CompileOptions
-from repro.experiments.journal import SweepJournal
 from repro.experiments.plan import (
     SweepTask,
-    _task_seeds,  # noqa: F401 - re-exported for tests/back-compat
-    _validate_compilers,  # noqa: F401 - re-exported for back-compat
-    build_sweep_plan,
     derive_task_seed,  # noqa: F401 - re-exported for back-compat
-    replay_journal,
-)
-from repro.obs import (
-    MetricsRegistry,
-    ObsConfig,
-    Tracer,
-    cprofile_to,
-    get_active_tracer,
-    latency_summary,
-    merge_chrome_traces,
-    sweep_metrics,
-    tracer_context,
 )
 from repro.experiments.runner import (
     DEFAULT_FAULT_SAMPLES,
@@ -94,6 +74,15 @@ from repro.experiments.runner import (
     Measurement,
     measure,
     resolve_compiler,
+)
+from repro.obs import (
+    MetricsRegistry,
+    ObsConfig,
+    Tracer,
+    cprofile_to,
+    get_active_tracer,
+    merge_chrome_traces,
+    tracer_context,
 )
 from repro.programs import Benchmark, benchmark_by_name
 
@@ -109,110 +98,22 @@ _TERMINATE_GRACE_S = 5.0
 _POOL_START_ERRORS = (OSError, PermissionError, NotImplementedError, ImportError)
 
 
-@dataclass
-class TaskReport:
-    """Timing and cache provenance of one executed task."""
-
-    benchmark: str
-    device: str
-    compiler: str
-    elapsed_s: float
-    cache_hit: Optional[bool]
-    pid: int
-    #: How many attempts this cell took (1 = first try).
-    attempts: int = 1
-    #: True when the cell was replayed from the checkpoint journal.
-    resumed: bool = False
-
-
-@dataclass
-class SweepReport:
-    """A sweep's measurements plus the engine's execution telemetry."""
-
-    measurements: List[Measurement]
-    tasks: List[TaskReport] = field(default_factory=list)
-    mode: str = "serial"
-    workers: int = 1
-    total_time_s: float = 0.0
-    cache_stats: Optional[CacheStats] = None
-    #: Cells the engine gave up on (after exhausting retries).
-    failures: List[TaskFailure] = field(default_factory=list)
-    #: Why a requested parallel run executed serially (None: as asked).
-    fallback_reason: Optional[str] = None
-    #: Identity of this run's checkpoint journal (None: journaling off).
-    run_id: Optional[str] = None
-    #: Where the checkpoint journal lives (None: journaling off).
-    journal_path: Optional[Path] = None
-    #: Cells served from the journal instead of recomputed.
-    resumed: int = 0
-    #: Calibration days rejected by validation and skipped, with reasons.
-    skipped_days: List[Tuple[int, str]] = field(default_factory=list)
-    #: Aggregated execution metrics (see :func:`repro.obs.sweep_metrics`).
-    #: Always populated by :func:`run_sweep`; in-process only — never
-    #: journaled, so journal digests are independent of observability.
-    metrics: Optional[MetricsRegistry] = None
-    #: Where trace/metrics/profile artifacts were written (None: obs off).
-    obs_dir: Optional[Path] = None
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for t in self.tasks if t.cache_hit)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / len(self.tasks) if self.tasks else 0.0
-
-    def summary(self) -> str:
-        lines = [
-            f"{len(self.tasks)} tasks in {self.total_time_s:.2f}s "
-            f"({self.mode}, {self.workers} worker"
-            f"{'s' if self.workers != 1 else ''})"
-        ]
-        if self.fallback_reason is not None:
-            lines.append(f"serial fallback: {self.fallback_reason}")
-        if self.resumed:
-            lines.append(f"resumed from journal: {self.resumed} cells")
-        if any(t.cache_hit is not None for t in self.tasks):
-            lines.append(
-                f"compile-artifact hits: {self.cache_hits}/{len(self.tasks)} "
-                f"({100.0 * self.cache_hit_rate:.0f}%)"
-            )
-        if self.cache_stats is not None:
-            lines.append(f"cache store: {self.cache_stats}")
-        if self.skipped_days:
-            days = ", ".join(str(day) for day, _ in self.skipped_days)
-            lines.append(f"skipped bad calibration days: {days}")
-        if self.failures:
-            kinds: Dict[str, int] = {}
-            for failure in self.failures:
-                kinds[failure.kind] = kinds.get(failure.kind, 0) + 1
-            breakdown = ", ".join(
-                f"{count} {kind}" for kind, count in sorted(kinds.items())
-            )
-            lines.append(f"task failures: {len(self.failures)} ({breakdown})")
-        if self.tasks:
-            slowest = max(self.tasks, key=lambda t: t.elapsed_s)
-            lines.append(
-                f"slowest task: {slowest.benchmark} / {slowest.compiler} "
-                f"({slowest.elapsed_s:.2f}s)"
-            )
-        if self.metrics is not None:
-            latency = latency_summary(self.metrics)
-            if latency:
-                lines.append(latency)
-        if self.obs_dir is not None:
-            lines.append(f"observability artifacts: {self.obs_dir}")
-        return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Task execution (runs in pool workers and in the serial fallback).
 # ----------------------------------------------------------------------
-def _measure_task(
-    task: SweepTask, benchmark, device, cache, warm_start: bool, built=None
-) -> Measurement:
-    """Measure one cell exactly as its task describes it."""
-    return measure(
+def _run_cell(
+    task: SweepTask,
+    attempt: int,
+    warm_start: bool,
+    benchmark: Benchmark,
+    device: Device,
+    cache: Optional[Cache],
+    built=None,
+) -> Tuple[Measurement, TaskReport]:
+    """Measure one cell exactly as its task describes it, timed."""
+    started = time.perf_counter()
+    maybe_inject_fault(task.benchmark, attempt)
+    measurement = measure(
         benchmark,
         device,
         resolve_compiler(task.compiler),
@@ -225,6 +126,16 @@ def _measure_task(
         cache=cache,
         options=CompileOptions.from_task(task, warm_start=warm_start),
     )
+    report = TaskReport(
+        benchmark=task.benchmark,
+        device=task.device,
+        compiler=task.compiler,
+        elapsed_s=time.perf_counter() - started,
+        cache_hit=measurement.cache_hit,
+        pid=os.getpid(),
+        attempts=attempt,
+    )
+    return measurement, report
 
 
 def run_task(
@@ -236,25 +147,14 @@ def run_task(
     cannot change a mapping (see :meth:`repro.smt.MaxMinSolver.solve`),
     so it stays off :class:`SweepTask` and out of task digests.
     """
-    started = time.perf_counter()
-    maybe_inject_fault(task.benchmark, attempt)
-    measurement = _measure_task(
+    return _run_cell(
         task,
+        attempt,
+        warm_start,
         benchmark_by_name(task.benchmark),
         device_by_name(task.device, day=task.day or 0),
         get_active_cache(),
-        warm_start,
     )
-    report = TaskReport(
-        benchmark=task.benchmark,
-        device=task.device,
-        compiler=task.compiler,
-        elapsed_s=time.perf_counter() - started,
-        cache_hit=measurement.cache_hit,
-        pid=os.getpid(),
-        attempts=attempt,
-    )
-    return measurement, report
 
 
 #: What a worker needs to set up its own observability:
@@ -310,6 +210,7 @@ def _pool_worker(
             if envelope is None:
                 return
             seq, task, attempt = envelope
+            started = time.perf_counter()
             try:
                 outcome = run_task(
                     task, attempt=attempt, warm_start=warm_start
@@ -320,7 +221,12 @@ def _pool_worker(
                         seq,
                         attempt,
                         "error",
-                        (type(exc).__name__, str(exc), traceback.format_exc()),
+                        (
+                            type(exc).__name__,
+                            str(exc),
+                            traceback.format_exc(),
+                            time.perf_counter() - started,
+                        ),
                     )
                 )
             else:
@@ -493,20 +399,19 @@ def run_sweep(
             with observability on, off, or absent.
     """
     started = time.perf_counter()
-    if cache is None and cache_dir is not None:
-        cache = open_cache(cache_dir)
-
-    # Planning (cell enumeration, digests, run id, journal location) is
-    # shared verbatim with the distributed coordinator — see
-    # :mod:`repro.experiments.plan`.
-    plan = build_sweep_plan(
+    cache, _, ledger = prepare_sweep(
         device,
         compilers,
+        cache=cache,
+        cache_dir=cache_dir,
+        resume=resume,
+        policy=RetryPolicy(
+            task_timeout_s=task_timeout_s, retries=retries, backoff_s=backoff_s
+        ),
         benchmarks=benchmarks,
         day=day,
         fault_samples=fault_samples,
         with_success=with_success,
-        cache=cache,
         base_seed=base_seed,
         days=days,
         skip_bad_days=skip_bad_days,
@@ -514,17 +419,23 @@ def run_sweep(
         journal_dir=journal_dir,
         options=options,
     )
-    device = plan.device
-    fitting = plan.fitting
-    tasks = plan.tasks
-    digests = plan.digests
-    skipped_days = plan.skipped_days
-    effective_run_id = plan.run_id
-    journal: Optional[SweepJournal] = plan.open_journal()
+    return run_in_process(ledger, cache, workers, started, obs)
 
-    # ------------------------------------------------------------------
-    # Observability: supervisor tracer + per-process artifact directory.
-    # ------------------------------------------------------------------
+
+def run_in_process(
+    ledger: CellLedger,
+    cache: Optional[Cache],
+    workers: int,
+    started: float,
+    obs: Optional[ObsConfig] = None,
+) -> SweepReport:
+    """Settle the ledger's queued cells on a process pool, else serially.
+
+    The in-process executor behind :func:`run_sweep`, and the one the
+    distributed driver degrades to on the plan it already built.
+    """
+    plan = ledger.plan
+    journal = ledger.journal
     obs_active = obs if obs is not None and obs.enabled else None
     obs_dir: Optional[Path] = None
     supervisor_tracer: Optional[Tracer] = None
@@ -533,7 +444,7 @@ def run_sweep(
         if obs_active.out_dir is not None:
             obs_dir = Path(obs_active.out_dir)
         elif journal is not None:
-            obs_dir = journal.path.parent / f"{effective_run_id}-obs"
+            obs_dir = journal.path.parent / f"{plan.run_id}-obs"
         else:
             obs_dir = Path("repro-obs")
         _reset_obs_dir(obs_dir)
@@ -541,27 +452,9 @@ def run_sweep(
             supervisor_tracer = Tracer()
         obs_spec = (str(obs_dir), obs_active.trace, obs_active.profile)
 
-    results: Dict[int, Tuple[Measurement, TaskReport]] = {}
-    resumed_count = 0
-    if journal is not None:
-        if resume:
-            results, resumed_count = replay_journal(
-                journal, digests, Measurement, TaskReport
-            )
-            logger.info(
-                "resuming run %s: %d/%d cells from journal",
-                effective_run_id, resumed_count, len(tasks),
-            )
-        else:
-            journal.reset()
-
-    todo = [(i, task) for i, task in enumerate(tasks) if i not in results]
-    policy = RetryPolicy(
-        task_timeout_s=task_timeout_s, retries=retries, backoff_s=backoff_s
+    fallback_reason = _serial_reason(
+        workers, ledger.outstanding, plan.device, plan.fitting
     )
-
-    failures: List[TaskFailure] = []
-    fallback_reason = _serial_reason(workers, len(todo), device, fitting)
     mode, effective_workers = "serial", 1
     supervisor_profile = (
         obs_dir / f"supervisor-{os.getpid()}.pstats"
@@ -574,61 +467,42 @@ def run_sweep(
             if supervisor_tracer is not None:
                 supervisor_tracer.span(
                     "sweep",
-                    run_id=effective_run_id,
-                    device=device.name,
-                    tasks=len(tasks),
+                    run_id=plan.run_id,
+                    device=plan.device.name,
+                    tasks=len(plan.tasks),
                 )
             if fallback_reason is None:
-                pool_outcome = _run_pool(
-                    todo, tasks, digests, workers, cache, policy, journal,
-                    obs_spec, options.warm_start,
-                )
-                if pool_outcome is None:
+                if _run_pool(ledger, workers, cache, obs_spec):
+                    mode, effective_workers = "process-pool", workers
+                else:
                     fallback_reason = (
                         "process pool unavailable on this platform "
                         "(no usable fork/semaphore primitives)"
                     )
-                else:
-                    results.update(pool_outcome[0])
-                    failures = pool_outcome[1]
-                    mode, effective_workers = "process-pool", workers
             if fallback_reason is not None:
                 if workers > 1:
                     logger.warning(
                         "sweep requested %d workers but ran serially: %s",
                         workers, fallback_reason,
                     )
-                serial_results, failures = _run_serial(
-                    todo, tasks, digests, device, fitting, cache, policy,
-                    journal, options.warm_start,
-                )
-                results.update(serial_results)
+                _run_serial(ledger, cache)
             if supervisor_tracer is not None:
                 supervisor_tracer.finish()
     finally:
         if journal is not None:
             journal.close()
 
-    ordered = [results[i] for i in sorted(results)]
-    report = SweepReport(
-        measurements=[m for m, _ in ordered],
-        tasks=[r for _, r in ordered],
-        mode=mode,
-        workers=effective_workers,
-        total_time_s=time.perf_counter() - started,
+    report = ledger.report(
+        started,
+        mode,
+        effective_workers,
+        fallback_reason,
         # In pool mode, store stats live in the worker processes; the
         # per-task cache_hit flags are the aggregate view.
         cache_stats=(
             cache.stats if cache is not None and mode == "serial" else None
         ),
-        failures=failures,
-        fallback_reason=fallback_reason,
-        run_id=effective_run_id if journal is not None else None,
-        journal_path=journal.path if journal is not None else None,
-        resumed=resumed_count,
-        skipped_days=skipped_days,
     )
-    report.metrics = sweep_metrics(report)
     if obs_dir is not None:
         report.obs_dir = _write_obs_artifacts(
             obs_dir, supervisor_tracer, report.metrics
@@ -637,82 +511,44 @@ def run_sweep(
 
 
 # ----------------------------------------------------------------------
-# Serial execution with the same retry/failure semantics as the pool.
+# Serial execution: the ledger's retry and failure rules, in-process.
 # ----------------------------------------------------------------------
-def _run_serial(
-    todo: Sequence[Tuple[int, SweepTask]],
-    tasks: Sequence[SweepTask],
-    digests: Sequence[str],
-    device: Device,
-    fitting: Sequence[Tuple[Benchmark, Tuple]],
-    cache: Optional[Cache],
-    policy: RetryPolicy,
-    journal: Optional[SweepJournal],
-    warm_start: bool,
-) -> Tuple[Dict[int, Tuple[Measurement, TaskReport]], List[TaskFailure]]:
-    """Run tasks in-process, with retries and structured failures.
+def _run_serial(ledger: CellLedger, cache: Optional[Cache]) -> None:
+    """Settle every queued cell in-process, in plan order.
 
     Uses the prebuilt circuits (no second build) and the caller's cache
     handle.  Wall-clock preemption is impossible in-process; hangs are
-    bounded only by the SMT solver's own deadline.
+    bounded only by the SMT solver's own deadline.  A failed attempt is
+    retried in place after its backoff, not from the back of the
+    queue, so a serial journal records cells in plan order.
     """
-    by_name = {b.name: (b, built) for b, built in fitting}
-    results: Dict[int, Tuple[Measurement, TaskReport]] = {}
-    failures: List[TaskFailure] = []
-    for index, task in todo:
-        attempt = 1
-        while True:
-            task_started = time.perf_counter()
-            try:
-                maybe_inject_fault(task.benchmark, attempt)
-                benchmark, built = by_name[task.benchmark]
-                measurement = _measure_task(
-                    task, benchmark, device, cache, warm_start, built
-                )
-            except Exception as exc:  # noqa: BLE001 - task isolation
-                elapsed = time.perf_counter() - task_started
-                if attempt <= policy.retries:
-                    delay = policy.delay(attempt, digests[index])
-                    logger.warning(
-                        "task %s/%s failed (attempt %d: %s); retrying in %.2fs",
-                        task.benchmark, task.compiler, attempt, exc, delay,
-                    )
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                failures.append(
-                    TaskFailure(
-                        benchmark=task.benchmark,
-                        device=task.device,
-                        compiler=task.compiler,
-                        day=task.day,
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback=traceback.format_exc(),
-                        attempts=attempt,
-                        elapsed_s=elapsed,
-                    )
-                )
-                break
-            report = TaskReport(
-                benchmark=task.benchmark,
-                device=task.device,
-                compiler=task.compiler,
-                elapsed_s=time.perf_counter() - task_started,
-                cache_hit=measurement.cache_hit,
-                pid=os.getpid(),
-                attempts=attempt,
+    plan = ledger.plan
+    by_name = {b.name: (b, built) for b, built in plan.fitting}
+    item = ledger.next_due()
+    while item is not None:
+        index, attempt = item
+        task = plan.tasks[index]
+        benchmark, built = by_name[task.benchmark]
+        started = time.perf_counter()
+        try:
+            outcome = _run_cell(
+                task, attempt, plan.options.warm_start, benchmark,
+                plan.device, cache, built,
             )
-            results[index] = (measurement, report)
-            if journal is not None:
-                journal.record(
-                    digests[index],
-                    dataclasses.asdict(measurement),
-                    dataclasses.asdict(report),
-                )
-            break
-    return results, failures
+        except Exception as exc:  # noqa: BLE001 - task isolation
+            delay = ledger.retry_or_fail(
+                index, attempt, "error", type(exc).__name__, str(exc),
+                traceback.format_exc(), time.perf_counter() - started,
+            )
+            if delay is not None:
+                time.sleep(delay)
+                # The ledger also queued this retry; once the cell
+                # settles here, next_due skips that entry.
+                item = (index, attempt + 1)
+                continue
+        else:
+            ledger.accept(index, *outcome)
+        item = ledger.next_due()
 
 
 # ----------------------------------------------------------------------
@@ -759,132 +595,51 @@ class _Worker:
         self.inbox.close()
 
 
-def _pop_due(pending: deque, now: float) -> Optional[Tuple[int, int, float]]:
-    """The first pending item whose backoff delay has elapsed, if any."""
-    for _ in range(len(pending)):
-        item = pending.popleft()
-        if item[2] <= now:
-            return item
-        pending.append(item)
-    return None
-
-
 def _run_pool(
-    todo: Sequence[Tuple[int, SweepTask]],
-    tasks: Sequence[SweepTask],
-    digests: Sequence[str],
+    ledger: CellLedger,
     workers: int,
     cache: Optional[Cache],
-    policy: RetryPolicy,
-    journal: Optional[SweepJournal],
     obs_spec: ObsSpec,
-    warm_start: bool,
-) -> Optional[Tuple[Dict[int, Tuple[Measurement, TaskReport]], List[TaskFailure]]]:
-    """Execute tasks on a supervised pool; None if the pool cannot start.
+) -> bool:
+    """Settle the ledger's queued cells on a supervised pool.
 
-    The supervisor loop interleaves three duties: dispatching due tasks
-    to idle workers, draining the shared result queue, and checking
-    worker health (liveness + per-task deadlines).  A dead or overdue
-    worker is replaced and its task retried or recorded as a
-    :class:`TaskFailure`; the sweep always runs to completion.
+    Returns False, having run nothing, when the pool cannot start.  The
+    supervisor loop interleaves three duties: dispatching due cells to
+    idle workers, draining the shared result queue, and checking worker
+    health (liveness + per-task deadlines).  What a finished, raised,
+    crashed or overdue attempt means is the ledger's call; this loop
+    replaces dead or overdue workers and runs until every cell settles.
     """
+    plan, policy = ledger.plan, ledger.policy
     cache_dir = getattr(cache, "root", None)
     try:
         ctx = multiprocessing.get_context()
         result_queue = ctx.Queue()
 
         def spawn() -> _Worker:
-            return _Worker(ctx, result_queue, cache_dir, obs_spec, warm_start)
+            return _Worker(
+                ctx, result_queue, cache_dir, obs_spec,
+                plan.options.warm_start,
+            )
 
-        pool = [spawn() for _ in range(min(workers, len(todo)))]
+        pool = [spawn() for _ in range(min(workers, ledger.outstanding))]
     except _POOL_START_ERRORS:
-        return None
+        return False
 
-    pending: deque = deque((index, 1, 0.0) for index, _ in todo)
-    task_by_seq = dict(todo)
-    results: Dict[int, Tuple[Measurement, TaskReport]] = {}
-    failures: List[TaskFailure] = []
-    failed_seqs = set()
-    outstanding = len(todo)
-
-    def settle(seq: int, attempt: int, kind: str, error_type: str,
-               message: str, tb: str, elapsed: float) -> None:
-        """Retry the task or record its permanent failure."""
-        nonlocal outstanding
-        if attempt <= policy.retries:
-            delay = policy.delay(attempt, digests[seq])
-            task = task_by_seq[seq]
-            logger.warning(
-                "task %s/%s %s (attempt %d); retrying in %.2fs",
-                task.benchmark, task.compiler, kind, attempt, delay,
-            )
-            pending.append((seq, attempt + 1, time.monotonic() + delay))
-        else:
-            task = task_by_seq[seq]
-            failures.append(
-                TaskFailure(
-                    benchmark=task.benchmark,
-                    device=task.device,
-                    compiler=task.compiler,
-                    day=task.day,
-                    kind=kind,
-                    error_type=error_type,
-                    message=message,
-                    traceback=tb,
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                )
-            )
-            failed_seqs.add(seq)
-            outstanding -= 1
-
-    def accept(seq: int, message) -> None:
-        """Record one successful result (idempotently)."""
-        nonlocal outstanding
-        if seq in results or seq in failed_seqs:
-            return
-        # A late result can beat a scheduled retry of the same cell
-        # (terminate-vs-complete race); drop the now-redundant retry.
-        for item in list(pending):
-            if item[0] == seq:
-                pending.remove(item)
-        measurement, report = message
-        results[seq] = (measurement, report)
-        # Materialize the worker-side timing on the supervisor's trace:
-        # the worker's own spans may be lost if it is later killed, but
-        # this synthesized event always survives.
-        tracer = get_active_tracer()
-        if tracer is not None:
-            tracer.add_event(
-                "sweep.task",
-                report.elapsed_s,
-                pid=report.pid,
-                benchmark=report.benchmark,
-                compiler=report.compiler,
-                attempts=report.attempts,
-                cache_hit=report.cache_hit,
-            )
-        if journal is not None:
-            journal.record(
-                digests[seq],
-                dataclasses.asdict(measurement),
-                dataclasses.asdict(report),
-            )
-        outstanding -= 1
-
+    tracer = get_active_tracer()
     try:
-        while outstanding > 0:
+        while not ledger.done:
             # 1. Dispatch due tasks to idle workers.
             now = time.monotonic()
             for worker in pool:
                 if worker.busy is not None:
                     continue
-                item = _pop_due(pending, now)
+                item = ledger.next_due(now)
                 if item is None:
                     break
-                seq, attempt, _ = item
+                index, attempt = item
                 worker.dispatch(
-                    seq, task_by_seq[seq], attempt, policy.task_timeout_s
+                    index, plan.tasks[index], attempt, policy.task_timeout_s
                 )
 
             # 2. Drain completed results.
@@ -893,16 +648,27 @@ def _run_pool(
             except queue_module.Empty:
                 message = None
             while message is not None:
-                seq, attempt, status, body = message
+                index, attempt, status, body = message
                 for worker in pool:
-                    if worker.busy is not None and worker.busy[0] == seq:
+                    if worker.busy is not None and worker.busy[0] == index:
                         worker.busy = None
                         break
-                if status == "ok":
-                    accept(seq, body)
-                elif seq not in results and seq not in failed_seqs:
-                    error_type, text, tb = body
-                    settle(seq, attempt, "error", error_type, text, tb, 0.0)
+                if status == "error":
+                    ledger.retry_or_fail(index, attempt, "error", *body)
+                elif ledger.accept(index, *body) and tracer is not None:
+                    # Materialize the worker-side timing on the
+                    # supervisor's trace: the worker's own spans may be
+                    # lost if it is later killed, but this event survives.
+                    report = body[1]
+                    tracer.add_event(
+                        "sweep.task",
+                        report.elapsed_s,
+                        pid=report.pid,
+                        benchmark=report.benchmark,
+                        compiler=report.compiler,
+                        attempts=report.attempts,
+                        cache_hit=report.cache_hit,
+                    )
                 try:
                     message = result_queue.get_nowait()
                 except queue_module.Empty:
@@ -911,20 +677,19 @@ def _run_pool(
             # 3. Health checks: dead workers and blown deadlines.
             for slot, worker in enumerate(pool):
                 if worker.busy is not None:
-                    seq, attempt, deadline, dispatched = worker.busy
+                    index, attempt, deadline, dispatched = worker.busy
                     if not worker.process.is_alive():
-                        exitcode = worker.process.exitcode
-                        settle(
-                            seq, attempt, "crash", "WorkerCrashed",
+                        ledger.retry_or_fail(
+                            index, attempt, "crash", "WorkerCrashed",
                             f"worker pid {worker.process.pid} died with "
-                            f"exit code {exitcode}", "",
+                            f"exit code {worker.process.exitcode}", "",
                             time.monotonic() - dispatched,
                         )
                         worker.destroy()
                         pool[slot] = spawn()
                     elif deadline is not None and time.monotonic() > deadline:
-                        settle(
-                            seq, attempt, "timeout", "TaskTimeout",
+                        ledger.retry_or_fail(
+                            index, attempt, "timeout", "TaskTimeout",
                             f"exceeded the {policy.task_timeout_s}s "
                             "wall-clock budget", "",
                             time.monotonic() - dispatched,
@@ -944,5 +709,4 @@ def _run_pool(
             worker.destroy()
         result_queue.cancel_join_thread()
         result_queue.close()
-
-    return results, failures
+    return True

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cache import Cache, CompileCache, digest
 from repro.compiler import DEFAULT_OPTIONS, CompileOptions, OptimizationLevel
@@ -268,32 +268,3 @@ def build_sweep_plan(
         journal_dir=Path(journal_dir) if journal_dir is not None else None,
         options=options,
     )
-
-
-def replay_journal(
-    journal: SweepJournal,
-    digests: Sequence[str],
-    measurement_type,
-    report_type,
-) -> Tuple[Dict[int, Tuple[object, object]], int]:
-    """Prefill results from a journal: index -> (measurement, report).
-
-    Shared by ``run_sweep(resume=True)`` and the distributed
-    coordinator so both replay exactly the same cells.  Records that no
-    longer match the dataclass shapes are skipped (the cell is simply
-    recomputed); replayed reports are marked ``resumed``.
-    """
-    completed = journal.load()
-    results: Dict[int, Tuple[object, object]] = {}
-    for index, cell_digest in enumerate(digests):
-        record = completed.get(cell_digest)
-        if record is None:
-            continue
-        try:
-            measurement = measurement_type(**record["measurement"])
-            report = report_type(**record["report"])
-        except (KeyError, TypeError):
-            continue  # incompatible record; recompute the cell
-        report.resumed = True
-        results[index] = (measurement, report)
-    return results, len(results)

@@ -25,7 +25,9 @@ import json
 import math
 import re
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -432,14 +434,14 @@ def optimization_metrics_into(
 # Sweep aggregation (duck-typed over SweepReport to avoid an import
 # cycle: repro.experiments imports repro.obs, never the reverse).
 # ----------------------------------------------------------------------
-def sweep_metrics(report: Any) -> MetricsRegistry:
-    """A registry summarizing one sweep's execution telemetry.
+def _task_metrics(registry: MetricsRegistry) -> Callable[[Mapping[str, Any]], None]:
+    """Create the per-task families; return the function that feeds one.
 
-    Built from the per-task reports and failures the engine already
-    aggregates across the worker pool and checkpoints to the journal,
-    so the numbers are mode-independent (serial == pooled == resumed).
+    The four families (tasks, latency, cache events, retries) are built
+    here only, and fed one task-report dict at a time — a
+    ``TaskReport``'s fields or a journal record's ``report`` — so a
+    sweep's metrics and the same run rebuilt from its journal agree.
     """
-    registry = MetricsRegistry()
     tasks = registry.counter(
         "repro_sweep_tasks_total", "Grid cells executed or replayed"
     )
@@ -455,22 +457,48 @@ def sweep_metrics(report: Any) -> MetricsRegistry:
         "repro_sweep_task_retries_total",
         "Extra attempts spent on crashed/hung/failed cells",
     )
+
+    def observe(task: Mapping[str, Any]) -> None:
+        labels = dict(
+            device=str(task.get("device", "?")),
+            benchmark=str(task.get("benchmark", "?")),
+            compiler=str(task.get("compiler", "?")),
+        )
+        tasks.inc(**labels)
+        elapsed = task.get("elapsed_s")
+        if isinstance(elapsed, (int, float)):
+            latency.observe(float(elapsed), **labels)
+        cache_hit = task.get("cache_hit")
+        if cache_hit is not None:
+            cache_events.inc(event="hit" if cache_hit else "miss")
+        attempts = task.get("attempts", 1)
+        if isinstance(attempts, int) and attempts > 1:
+            retries.inc(attempts - 1, **labels)
+
+    return observe
+
+
+def sweep_metrics(report: Any) -> MetricsRegistry:
+    """A registry summarizing one sweep's execution telemetry.
+
+    Built from the per-task reports and failures the engine already
+    aggregates across the worker pool and checkpoints to the journal,
+    so the numbers are mode-independent (serial == pooled == resumed).
+    """
+    registry = MetricsRegistry()
+    observe_task = _task_metrics(registry)
     resumed = registry.counter(
         "repro_sweep_resumed_cells_total",
         "Cells replayed from the checkpoint journal",
     )
     for task in report.tasks:
-        labels = dict(
-            device=task.device, benchmark=task.benchmark, compiler=task.compiler
-        )
-        tasks.inc(**labels)
-        latency.observe(task.elapsed_s, **labels)
-        if task.cache_hit is not None:
-            cache_events.inc(event="hit" if task.cache_hit else "miss")
-        if task.attempts > 1:
-            retries.inc(task.attempts - 1, **labels)
+        observe_task(vars(task))
         if task.resumed:
-            resumed.inc(**labels)
+            resumed.inc(
+                device=task.device,
+                benchmark=task.benchmark,
+                compiler=task.compiler,
+            )
 
     failures = registry.counter(
         "repro_sweep_task_failures_total",
@@ -591,48 +619,19 @@ def sweep_metrics(report: Any) -> MetricsRegistry:
 def sweep_metrics_from_journal_records(
     records: Iterable[Mapping[str, Any]],
 ) -> MetricsRegistry:
-    """Rebuild sweep metrics from checkpoint-journal records.
+    """Rebuild a sweep's per-task metrics from its journal records.
 
-    Lets ``repro profile`` summarize a finished (or interrupted)
-    multi-day run straight from its journal file, without re-running
-    anything.  Accepts the parsed record dicts of
-    :meth:`repro.experiments.journal.SweepJournal.records`.
+    Summarizes a finished (or interrupted) run straight from its
+    journal without re-running anything.  Accepts the parsed record
+    dicts of :meth:`repro.experiments.journal.SweepJournal.records`;
+    records without a ``report`` dict are skipped.
     """
     registry = MetricsRegistry()
-    tasks = registry.counter(
-        "repro_sweep_tasks_total", "Grid cells recorded in the journal"
-    )
-    latency = registry.histogram(
-        "repro_sweep_task_latency_seconds",
-        "Wall time per grid cell (compile + Monte-Carlo estimate)",
-    )
-    cache_events = registry.counter(
-        "repro_sweep_cache_events_total",
-        "Compile-artifact cache hits/misses observed by sweep tasks",
-    )
-    retries = registry.counter(
-        "repro_sweep_task_retries_total",
-        "Extra attempts spent on crashed/hung/failed cells",
-    )
+    observe_task = _task_metrics(registry)
     for record in records:
         task_report = record.get("report")
-        if not isinstance(task_report, Mapping):
-            continue
-        labels = dict(
-            device=str(task_report.get("device", "?")),
-            benchmark=str(task_report.get("benchmark", "?")),
-            compiler=str(task_report.get("compiler", "?")),
-        )
-        tasks.inc(**labels)
-        elapsed = task_report.get("elapsed_s")
-        if isinstance(elapsed, (int, float)):
-            latency.observe(float(elapsed), **labels)
-        cache_hit = task_report.get("cache_hit")
-        if cache_hit is not None:
-            cache_events.inc(event="hit" if cache_hit else "miss")
-        attempts = task_report.get("attempts", 1)
-        if isinstance(attempts, int) and attempts > 1:
-            retries.inc(attempts - 1, **labels)
+        if isinstance(task_report, Mapping):
+            observe_task(task_report)
     return registry
 
 

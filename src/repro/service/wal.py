@@ -9,8 +9,9 @@ were interrupted mid-flight, and keeping already-terminal jobs
 visible without re-running them.
 
 The discipline mirrors :class:`repro.experiments.journal.SweepJournal`
-(fsync-first, append-only JSONL, torn final line tolerated with a
-``RuntimeWarning``) but the record shape is different: a sweep journal
+(fsync-first, append-only JSONL, read back through the same lenient
+:func:`~repro.experiments.journal.read_jsonl`, so a torn final line is
+tolerated with a ``RuntimeWarning``) but the record shape is different: a sweep journal
 checkpoints *results*; the WAL checkpoints *intent*.  Results never
 enter the WAL — they can be megabytes and are already content-addressed
 in the compile cache, which is exactly what makes replay idempotent:
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Union
@@ -54,6 +54,7 @@ from repro.experiments.faults import (
     maybe_inject_serve_kill,
     wal_torn_tail_requested,
 )
+from repro.experiments.journal import read_jsonl
 
 #: WAL line format version; bump on incompatible record changes.
 WAL_VERSION = 1
@@ -166,49 +167,6 @@ class JobWAL:
     # ------------------------------------------------------------------
     # Replay side
 
-    def _parse(self) -> List[Dict[str, Any]]:
-        """Every parseable record in append order; torn tails warned.
-
-        Binary read + lenient decode, exactly like
-        :meth:`repro.experiments.journal.SweepJournal._parse`: a kill
-        can tear the final line anywhere, including inside a
-        multi-byte UTF-8 sequence.  Damage is never fatal — the WAL is
-        how work survives crashes, so replay must survive the crash's
-        own debris.
-        """
-        records: List[Dict[str, Any]] = []
-        try:
-            with open(self.path, "rb") as handle:
-                raw_lines = handle.read().split(b"\n")
-        except (FileNotFoundError, OSError):
-            return records
-        for index, raw in enumerate(raw_lines):
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                position = (
-                    "truncated final line"
-                    if index >= len(raw_lines) - 2
-                    else f"corrupt line {index + 1}"
-                )
-                warnings.warn(
-                    f"service WAL {self.path}: skipping {position} "
-                    "(torn write from a crashed daemon?)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                continue
-            if (
-                isinstance(record, dict)
-                and record.get("v") == WAL_VERSION
-                and record.get("event") in EVENTS
-            ):
-                records.append(record)
-        return records
-
     def replay(self) -> List[ReplayedJob]:
         """Surviving job states, in original submission order.
 
@@ -217,7 +175,16 @@ class JobWAL:
         from a previous recovery cannot double-register a job).
         """
         jobs: Dict[str, ReplayedJob] = {}
-        for record in self._parse():
+        records = read_jsonl(
+            self.path,
+            f"service WAL {self.path}",
+            "torn write from a crashed daemon?",
+            lambda record: (
+                record.get("v") == WAL_VERSION
+                and record.get("event") in EVENTS
+            ),
+        )
+        for record in records:
             if record["event"] == "submitted":
                 raw = record.get("job")
                 if not isinstance(raw, dict):

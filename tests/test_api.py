@@ -255,6 +255,20 @@ class TestObsIntegration:
     def test_obs_off_yields_none(self):
         assert api.compile(HS2, device="tenerife").obs is None
 
+    def test_distributed_sweep_rejects_obs(self, tmp_path):
+        from repro.obs import ObsConfig
+
+        # Remote workers record nothing: refuse before planning or
+        # spawning anything, rather than write no artifacts silently.
+        with pytest.raises(ValueError, match="not supported on distributed"):
+            api.sweep(
+                "tenerife", "N", benchmarks=["BV4"], with_success=False,
+                workers_from="local:1", cache_dir=tmp_path / "cache",
+                obs=ObsConfig(out_dir=tmp_path / "obs"),
+            )
+        assert not (tmp_path / "obs").exists()
+        assert not (tmp_path / "cache").exists()
+
 
 class TestCliThinClient:
     def test_cli_compile_stdout_is_api_executable(self, capsys):

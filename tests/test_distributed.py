@@ -44,13 +44,9 @@ from repro.experiments.faults import (
     RetryPolicy,
 )
 from repro.experiments.journal import task_digest
-from repro.experiments.parallel import TaskReport, run_sweep
-from repro.experiments.plan import (
-    SweepTask,
-    build_sweep_plan,
-    replay_journal,
-)
-from repro.experiments.runner import Measurement
+from repro.experiments.ledger import prepare_sweep
+from repro.experiments.parallel import run_sweep
+from repro.experiments.plan import SweepTask, build_sweep_plan
 
 LEVELS = [OptimizationLevel.OPT_1QCN]
 BENCHES = ["BV4", "Toffoli"]
@@ -168,7 +164,6 @@ def _state(tmp_path, lease_ttl_s=30.0, retries=0, benchmarks=("BV4",)):
         RetryPolicy(retries=retries, backoff_s=0.01),
         lease_ttl_s=lease_ttl_s,
     )
-    state.enqueue_unfinished()
     return state
 
 
@@ -182,8 +177,8 @@ class TestCoordinatorState:
         assert first == {"accepted": True, "duplicate": False}
         assert again["duplicate"] is True and again["accepted"] is False
         assert state.duplicates == 1
-        state.journal.close()
-        assert len(state.journal.records()) == 1  # journaled exactly once
+        state.ledger.journal.close()
+        assert len(state.ledger.journal.records()) == 1  # journaled once
 
     def test_forced_lease_expiry_fires_once(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "lease-expiry:BV4")
@@ -202,8 +197,8 @@ class TestCoordinatorState:
         assert state.grant("w") is not None
         assert state.expire_due_leases() == 1  # one past the limit: give up
         assert state.done
-        assert len(state.failures) == 1
-        assert state.failures[0].kind == "lease-expired"
+        assert len(state.ledger.failures) == 1
+        assert state.ledger.failures[0].kind == "lease-expired"
 
     def test_error_retry_backoff_then_regrant(self, tmp_path):
         state = _state(tmp_path, retries=1)
@@ -219,7 +214,7 @@ class TestCoordinatorState:
             "w1", grant["digest"], 2, "ValueError", "boom", "tb"
         )
         assert final["requeued"] is False
-        assert state.failures[0].kind == "error"
+        assert state.ledger.failures[0].kind == "error"
 
     def test_snapshot_feeds_sweep_status(self, tmp_path):
         state = _state(tmp_path)
@@ -287,26 +282,17 @@ def _distributed(
     worker_max_failures=10,
 ):
     """One in-process distributed run; workers ride background threads."""
-    plan = build_sweep_plan(
-        "tenerife", LEVELS, benchmarks=BENCHES,
-        fault_samples=FAULT_SAMPLES, with_success=True,
-        cache=cache, run_id=run_id,
+    _, plan, ledger = prepare_sweep(
+        "tenerife", LEVELS, cache=cache, cache_dir=None, resume=resume,
+        policy=RetryPolicy(backoff_s=0.01), benchmarks=BENCHES,
+        fault_samples=FAULT_SAMPLES, with_success=True, run_id=run_id,
     )
-    journal = plan.open_journal()
     sweep = DistributedSweep(
-        plan, journal, RetryPolicy(backoff_s=0.01), WorkerFleet(),
+        plan, ledger.journal, ledger.policy, WorkerFleet(),
         cache=cache, lease_ttl_s=lease_ttl_s, worker_wait_s=30.0,
         spawn_local=False,
     )
-    resumed = 0
-    if resume:
-        prefill, resumed = replay_journal(
-            journal, plan.digests, Measurement, TaskReport
-        )
-        sweep.state.prefill(prefill)
-    else:
-        journal.reset()
-    sweep.state.enqueue_unfinished()
+    sweep.state.prefill(ledger.results)
 
     codes = {}
     threads = []
@@ -337,7 +323,7 @@ def _distributed(
         activate_cache(None)  # worker threads activated their shards
     report = (
         None if error is not None
-        else sweep.assemble_report(started, resumed)
+        else sweep.assemble_report(started)
     )
     return sweep, report, codes, error
 
@@ -431,7 +417,6 @@ class TestDistributedEndToEnd:
             WorkerFleet(), lease_ttl_s=0.3, worker_wait_s=30.0,
             spawn_local=False,
         )
-        sweep.state.enqueue_unfinished()
         runner = threading.Thread(target=sweep.run, daemon=True)
         runner.start()
         try:

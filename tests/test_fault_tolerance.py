@@ -91,15 +91,25 @@ class TestInjection:
 # Serial-path failures and retries
 # ----------------------------------------------------------------------
 class TestSerialFailures:
-    def test_error_becomes_structured_failure(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["serial", "process-pool", "distributed"])
+    def test_error_becomes_structured_failure(self, monkeypatch, tmp_path, mode):
         monkeypatch.setenv(FAULT_INJECT_ENV, "error:BV4")
-        report = run_sweep(
-            ibmq5_tenerife(),
-            [OptimizationLevel.N],
-            benchmarks=["BV4", "Toffoli"],
-            with_success=False,
-            backoff_s=0.01,
-        )
+        if mode == "distributed":
+            # The in-process coordinator with worker threads: the error
+            # travels over /v1/fail, elapsed time included.
+            from tests.test_distributed import _distributed
+
+            _, report, _, _ = _distributed(open_cache(tmp_path), "error-run")
+        else:
+            report = run_sweep(
+                ibmq5_tenerife(),
+                [OptimizationLevel.N],
+                benchmarks=["BV4", "Toffoli"],
+                with_success=False,
+                backoff_s=0.01,
+                workers=2 if mode == "process-pool" else 1,
+            )
+        assert report.mode == mode
         assert [m.benchmark for m in report.measurements] == ["Toffoli"]
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -109,6 +119,7 @@ class TestSerialFailures:
         assert failure.attempts == 1
         assert "InjectedFault" in failure.traceback
         assert "BV4" in failure.describe()
+        assert failure.elapsed_s > 0
 
     def test_retry_heals_transient_error(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "error:BV4:1")

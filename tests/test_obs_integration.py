@@ -261,6 +261,29 @@ class TestSimulateSpan:
 
 
 class TestJournalRecords:
+    def test_journal_rebuild_matches_report_task_families(self, tmp_path):
+        from repro.obs import sweep_metrics_from_journal_records
+
+        report = run_sweep(
+            "tenerife", [OptimizationLevel.N, OptimizationLevel.OPT_1QCN],
+            benchmarks=["BV4", "Toffoli"], workers=2,
+            cache_dir=tmp_path / "cache", **FAST,
+        )
+        assert report.mode == "process-pool"
+        rebuilt = sweep_metrics_from_journal_records(
+            SweepJournal(report.journal_path).records()
+        )
+        for family in (
+            "repro_sweep_tasks_total",
+            "repro_sweep_task_latency_seconds",
+            "repro_sweep_cache_events_total",
+            "repro_sweep_task_retries_total",
+        ):
+            assert (
+                report.metrics.get(family).render()
+                == rebuilt.get(family).render()
+            ), family
+
     def test_records_keeps_append_order_and_duplicates(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text(
@@ -307,6 +330,17 @@ class TestCliObservability:
         assert "hot passes" in out
         assert "compile" in out
         assert "top functions" in out
+
+    def test_distributed_sweep_with_profile_exits_2(self, tmp_path, capsys):
+        rc = main([
+            "sweep", "-d", "tenerife", "-b", "BV4", "-l", "1qoptcn",
+            "--no-success", "--workers-from", "local:1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--profile", "--obs-dir", str(tmp_path / "obs"),
+        ])
+        assert rc == 2
+        assert "not supported on distributed" in capsys.readouterr().err
+        assert not (tmp_path / "obs").exists()
 
     def test_profile_command_empty_dir_fails(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path)]) == 2
