@@ -1,15 +1,15 @@
 """The on-disk artifact store behind the parallel sweep engine.
 
 :class:`CompileCache` is a content-addressed pickle store: each entry
-lives at ``<root>/<key[:2]>/<key>.pkl`` and is written atomically (temp
-file + fsync + ``os.replace``), so concurrent writers across processes
-can only ever race to produce the same bytes and a killed worker can
-never leave a torn entry behind.  Readers treat anything that fails to
-load — truncated pickles, wrong schema version, key mismatch — as a
-miss, move the bad file into ``<root>/quarantine/`` for post-mortem
-inspection, and let the caller recompute: the slot is freed, so the
-same corruption is never re-hit, but the evidence is kept instead of
-silently destroyed.
+lives at ``<root>/<key[:2]>/<key>.pkl`` and is written atomically
+(:func:`repro.durable.atomic_write`), so concurrent writers across
+processes can only ever race to produce the same bytes and a killed
+worker can never leave a torn entry behind.  Readers treat anything
+that fails to load — truncated pickles, wrong schema version, key
+mismatch — as a miss, move the bad file into ``<root>/quarantine/``
+for post-mortem inspection, and let the caller recompute: the slot is
+freed, so the same corruption is never re-hit, but the evidence is
+kept instead of silently destroyed.
 
 Payloads are plain data (dicts of primitives and numpy arrays), never
 live ``Device``/``Circuit`` objects; the callers own the conversion
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.cache.keys import CACHE_SCHEMA_VERSION
+from repro.durable import atomic_write
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -147,27 +147,10 @@ class CompileCache:
 
     def put(self, key: str, payload: Any) -> None:
         """Store ``payload`` under ``key`` atomically."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    (CACHE_SCHEMA_VERSION, key, payload),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), pickle.dumps(
+            (CACHE_SCHEMA_VERSION, key, payload),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ))
         self.stats.stores += 1
         self._notify("store")
 

@@ -31,8 +31,6 @@ not data.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any, Dict
 
 from repro.devices.calibration import Calibration
@@ -40,6 +38,7 @@ from repro.devices.device import Device
 from repro.devices.gatesets import GATESET_BY_FAMILY, VendorFamily
 from repro.devices.library import StaticCalibrationModel
 from repro.devices.topology import Topology
+from repro.durable import atomic_write
 
 
 def _edge_key(a: int, b: int) -> str:
@@ -168,24 +167,8 @@ def load_device(path: str) -> Device:
 def save_device(device: Device, path: str, day: int = 0) -> None:
     """Write a device's config (with one calibration snapshot) to a file.
 
-    The write is atomic (temp file in the same directory, fsync, then
-    ``os.replace``), so a killed process can never leave a torn config
-    behind — readers see the old file or the new one, nothing between.
+    The write is atomic (:func:`repro.durable.atomic_write`), so a
+    killed process can never leave a torn config behind — readers see
+    the old file or the new one, nothing between.
     """
-    text = device_to_json(device, day) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, (device_to_json(device, day) + "\n").encode("utf-8"))

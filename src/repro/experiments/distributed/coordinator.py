@@ -37,13 +37,12 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.durable import atomic_write
 from repro.experiments.distributed.protocol import task_to_wire
 from repro.experiments.faults import (
     RetryPolicy,
@@ -288,7 +287,7 @@ class CoordinatorState:
                 lease.index, "lease-expired", "LeaseExpired",
                 f"lease expired {count} times "
                 f"(ttl {self.lease_ttl_s}s); owners kept vanishing",
-                "", lease.attempt, 0.0,
+                "", lease.attempt, time.monotonic() - lease.granted_mono,
             )
             self._failures_total.inc(kind="lease-expired")
             return
@@ -336,13 +335,9 @@ class CoordinatorState:
         if self.state_path is None:
             return
         try:
-            self.state_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.state_path.parent, prefix=".tmp-state-"
+            atomic_write(
+                self.state_path, json.dumps(self.snapshot()).encode("utf-8")
             )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.snapshot(), handle)
-            os.replace(tmp_name, self.state_path)
         except OSError:
             pass
 

@@ -10,19 +10,19 @@ resumes nothing rather than serving stale results.
 
 Journals live under ``<cache-dir>/journals/<run-id>.jsonl``.  A partial
 trailing line (torn write from a kill) is tolerated on load: lines that
-fail to parse are skipped, never fatal.
+fail to parse are skipped, never fatal.  The next append cuts such a
+fragment off first (see :class:`repro.durable.AppendLog`), so a resumed
+run's first record lands on a line of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import warnings
-from pathlib import Path
-from typing import IO, Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List
 
 from repro.cache.keys import digest
+from repro.durable import AppendLog, read_jsonl
 
 #: Journal line format version; bump on incompatible record changes.
 JOURNAL_VERSION = 1
@@ -56,60 +56,8 @@ def run_digest(*parts: Any) -> str:
     return digest("sweep-run", list(parts))[:12]
 
 
-def read_jsonl(
-    path: Path,
-    label: str,
-    hint: str,
-    accept: Callable[[Dict[str, Any]], bool],
-) -> List[Dict[str, Any]]:
-    """Every parseable, accepted record of an append-only JSONL log.
-
-    Shared by the sweep journal and the service WAL.  The file is read
-    in binary and each line decoded leniently: a crash mid-append can
-    tear the final line anywhere — including inside a multi-byte UTF-8
-    sequence, which would make text-mode iteration itself raise.
-    Unparseable lines are skipped with a ``RuntimeWarning`` naming
-    ``label`` and ``hint`` (a torn *tail* is expected after a kill;
-    garbage mid-file is still worth hearing about), never fatal: a log
-    of work done must survive the crash's own debris.  Records that are
-    not dicts or that ``accept`` rejects (wrong version, wrong shape)
-    are dropped silently.
-    """
-    records: List[Dict[str, Any]] = []
-    try:
-        with open(path, "rb") as handle:
-            raw_lines = handle.read().split(b"\n")
-    except OSError:
-        return records
-    for index, raw in enumerate(raw_lines):
-        line = raw.decode("utf-8", errors="replace").strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            position = (
-                "truncated final line"
-                if index >= len(raw_lines) - 2
-                else f"corrupt line {index + 1}"
-            )
-            warnings.warn(
-                f"{label}: skipping {position} ({hint})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            continue
-        if isinstance(record, dict) and accept(record):
-            records.append(record)
-    return records
-
-
-class SweepJournal:
+class SweepJournal(AppendLog):
     """Append-only JSONL checkpoint log for one sweep run."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
 
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Completed cells on disk: digest -> record (last write wins).
@@ -152,9 +100,6 @@ class SweepJournal:
         report: Dict[str, Any],
     ) -> None:
         """Append one completed cell; flushed and fsynced immediately."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
         line = json.dumps(
             {
                 "v": JOURNAL_VERSION,
@@ -164,22 +109,4 @@ class SweepJournal:
             },
             separators=(",", ":"),
         )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.append(line.encode("utf-8") + b"\n")

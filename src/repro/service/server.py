@@ -69,6 +69,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache import MemoryCache, activate_cache, digest, open_cache
+from repro.durable import atomic_write
 from repro.experiments.faults import slow_response_delay_s
 from repro.obs import MetricsRegistry
 from repro.service.config import DEFAULT_TENANT, ServiceConfig
@@ -227,9 +228,7 @@ class ReproService:
         )
         self.port = server.sockets[0].getsockname()[1]
         if config.port_file:
-            Path(config.port_file).write_text(
-                f"{self.port}\n", encoding="utf-8"
-            )
+            atomic_write(config.port_file, f"{self.port}\n".encode("utf-8"))
         print(
             f"repro service listening on http://{config.host}:{self.port}",
             file=sys.stderr,

@@ -8,10 +8,11 @@ job table — re-enqueueing jobs that never ran, re-executing jobs that
 were interrupted mid-flight, and keeping already-terminal jobs
 visible without re-running them.
 
-The discipline mirrors :class:`repro.experiments.journal.SweepJournal`
-(fsync-first, append-only JSONL, read back through the same lenient
-:func:`~repro.experiments.journal.read_jsonl`, so a torn final line is
-tolerated with a ``RuntimeWarning``) but the record shape is different: a sweep journal
+The discipline is the sweep journal's — both write through
+:class:`repro.durable.AppendLog` (fsync-first, append-only JSONL) and
+read back through the same lenient :func:`repro.durable.read_jsonl`, so
+a torn final line is tolerated with a ``RuntimeWarning`` — but the
+record shape is different: a sweep journal
 checkpoints *results*; the WAL checkpoints *intent*.  Results never
 enter the WAL — they can be megabytes and are already content-addressed
 in the compile cache, which is exactly what makes replay idempotent:
@@ -46,21 +47,28 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
+from repro.durable import AppendLog, atomic_write, read_jsonl
 from repro.experiments.faults import (
     INJECTED_CRASH_EXIT_CODE,
     maybe_inject_serve_kill,
     wal_torn_tail_requested,
 )
-from repro.experiments.journal import read_jsonl
 
 #: WAL line format version; bump on incompatible record changes.
 WAL_VERSION = 1
 
 #: Events a WAL line may carry, in lifecycle order.
 EVENTS = ("submitted", "running", "done", "failed")
+
+
+def _encode(record: Dict[str, Any]) -> bytes:
+    """One WAL line, without its newline."""
+    return json.dumps(
+        dict(record, v=WAL_VERSION), separators=(",", ":"),
+        sort_keys=True, default=str,
+    ).encode("utf-8")
 
 
 @dataclass
@@ -96,64 +104,33 @@ class ReplayedJob:
         return self.status in ("done", "failed")
 
 
-class JobWAL:
+class JobWAL(AppendLog):
     """Append-only, fsync-first journal of service job state.
 
-    Every :meth:`append` is flushed and fsynced before it returns, so
-    the acceptance the daemon acknowledges over HTTP is exactly the
-    acceptance a restarted daemon recovers.  The fsync counter feeds
+    Every event is fsynced before its writer returns, so the acceptance
+    the daemon acknowledges over HTTP is exactly the acceptance a
+    restarted daemon recovers.  The fsync counter feeds
     ``serve-kill:N`` fault injection (die *after* the Nth fsync — the
     record is durable, everything after it is lost).
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[IO[bytes]] = None
-        #: fsyncs performed by this instance (fault-injection hook).
-        self.fsyncs = 0
-
     # ------------------------------------------------------------------
     # Append side
 
-    def _open(self) -> IO[bytes]:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "ab")
-        return self._handle
-
-    def _fsync(self, handle: IO[bytes]) -> None:
-        handle.flush()
-        try:
-            os.fsync(handle.fileno())
-        except OSError:
-            pass
-        self.fsyncs += 1
-        maybe_inject_serve_kill(self.fsyncs)
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Journal one event; durable (fsynced) before returning."""
-        handle = self._open()
-        line = json.dumps(
-            dict(record, v=WAL_VERSION), separators=(",", ":"),
-            sort_keys=True, default=str,
-        ).encode("utf-8")
+    def _event(self, record: Dict[str, Any]) -> None:
+        line = _encode(record)
         if wal_torn_tail_requested():
             # A power cut mid-write: half the bytes, no newline, gone.
-            handle.write(line[: max(1, len(line) // 2)])
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
+            self.append(line[: max(1, len(line) // 2)])
             os._exit(INJECTED_CRASH_EXIT_CODE)
-        handle.write(line + b"\n")
-        self._fsync(handle)
+        self.append(line + b"\n")
+        maybe_inject_serve_kill(self.fsyncs)
 
     def submitted(self, job: Dict[str, Any]) -> None:
-        self.append({"event": "submitted", "job": job})
+        self._event({"event": "submitted", "job": job})
 
     def running(self, job_id: str) -> None:
-        self.append({"event": "running", "id": job_id})
+        self._event({"event": "running", "id": job_id})
 
     def finished(
         self, job_id: str, status: str,
@@ -162,7 +139,7 @@ class JobWAL:
         record: Dict[str, Any] = {"event": status, "id": job_id}
         if error is not None:
             record["error"] = error
-        self.append(record)
+        self._event(record)
 
     # ------------------------------------------------------------------
     # Replay side
@@ -221,38 +198,13 @@ class JobWAL:
         """Compact the WAL to just the given pending jobs (atomic).
 
         Terminal and coalesced-duplicate jobs are dropped; each
-        pending job becomes a fresh ``submitted`` record.  Written to
-        a temp file, fsynced, then atomically renamed over the old
-        log, so a crash mid-compaction leaves either the old WAL or
-        the new one — never a mixture.
+        pending job becomes a fresh ``submitted`` record.  The log is
+        replaced through :func:`repro.durable.atomic_write`, so a crash
+        mid-compaction leaves either the old WAL or the new one — never
+        a mixture.  Compaction is not an append: ``fsyncs`` is unchanged.
         """
         self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".compact.tmp")
-        with open(tmp, "wb") as handle:
-            for job in pending:
-                line = json.dumps(
-                    {"v": WAL_VERSION, "event": "submitted",
-                     "job": job.raw},
-                    separators=(",", ":"), sort_keys=True, default=str,
-                ).encode("utf-8")
-                handle.write(line + b"\n")
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
-        os.replace(tmp, self.path)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-
-    def __enter__(self) -> "JobWAL":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        atomic_write(self.path, b"".join(
+            _encode({"event": "submitted", "job": job.raw}) + b"\n"
+            for job in pending
+        ))

@@ -32,6 +32,7 @@ from repro.ir.circuit import Circuit
 from repro.ir.gates import gate_matrix
 from repro.sim.noise import instruction_error_probability
 from repro.sim.plan import plan_simulation
+from repro.sim.statevector import marginal_distribution
 
 #: Refuse to build density matrices beyond this size.
 MAX_DENSITY_QUBITS = 9
@@ -169,18 +170,9 @@ def density_distribution(
     num_qubits: int,
 ) -> Dict[str, float]:
     """Marginal classical-bit distribution of a density matrix."""
-    probs = np.real(np.diag(rho))
-    num_cbits = max(cbit for _, cbit in wiring) + 1
-    out: Dict[str, float] = {}
-    for index, p in enumerate(probs):
-        if p < 1e-14:
-            continue
-        bits = ["0"] * num_cbits
-        for qubit, cbit in wiring:
-            bits[cbit] = str((index >> (num_qubits - 1 - qubit)) & 1)
-        key = "".join(bits)
-        out[key] = out.get(key, 0.0) + float(p)
-    return out
+    return marginal_distribution(
+        np.real(np.diag(rho)), wiring, num_qubits, 1e-14
+    )
 
 
 def exact_success_probability(

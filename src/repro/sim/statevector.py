@@ -122,24 +122,39 @@ def measurement_wiring(circuit: Circuit) -> List[Tuple[int, int]]:
     return wiring
 
 
-def distribution_from_state(
-    state: np.ndarray,
+def marginal_distribution(
+    probs: np.ndarray,
     wiring: Sequence[Tuple[int, int]],
     num_qubits: int,
+    cutoff: float,
 ) -> Dict[str, float]:
-    """Marginal distribution over classical bits given a final state."""
+    """Marginal distribution over classical bits of basis-state ``probs``.
+
+    Basis states with probability at or below ``cutoff`` are dropped;
+    the rest are summed, in index order, per measured bit string.
+    """
     if not wiring:
         raise ValueError("circuit has no measurements")
-    probs = np.abs(state) ** 2
     num_cbits = max(cbit for _, cbit in wiring) + 1
     out: Dict[str, float] = {}
-    for index in np.flatnonzero(probs > _PROB_EPS):
+    for index in np.flatnonzero(probs > cutoff):
         bits = ["0"] * num_cbits
         for qubit, cbit in wiring:
             bits[cbit] = str((int(index) >> (num_qubits - 1 - qubit)) & 1)
         key = "".join(bits)
         out[key] = out.get(key, 0.0) + float(probs[index])
     return out
+
+
+def distribution_from_state(
+    state: np.ndarray,
+    wiring: Sequence[Tuple[int, int]],
+    num_qubits: int,
+) -> Dict[str, float]:
+    """Marginal distribution over classical bits given a final state."""
+    return marginal_distribution(
+        np.abs(state) ** 2, wiring, num_qubits, _PROB_EPS
+    )
 
 
 def ideal_distribution(circuit: Circuit) -> Dict[str, float]:

@@ -16,6 +16,7 @@ runs, minus the process boundary, so the chaos matrix stays fast
 enough for tier-1.
 """
 
+import os
 import threading
 import time
 from dataclasses import replace
@@ -195,10 +196,13 @@ class TestCoordinatorState:
             assert state.grant(f"w") is not None
             assert state.expire_due_leases() == 1
         assert state.grant("w") is not None
+        time.sleep(0.01)
         assert state.expire_due_leases() == 1  # one past the limit: give up
         assert state.done
         assert len(state.ledger.failures) == 1
-        assert state.ledger.failures[0].kind == "lease-expired"
+        failure = state.ledger.failures[0]
+        assert failure.kind == "lease-expired"
+        assert failure.elapsed_s >= 0.01  # wall time the lease was held
 
     def test_error_retry_backoff_then_regrant(self, tmp_path):
         state = _state(tmp_path, retries=1)
@@ -228,6 +232,19 @@ class TestCoordinatorState:
         assert status.leased == 1
         assert "w1" in status.worker_heartbeat_age_s
         assert "state-test" in status.describe()
+
+    def test_state_write_failure_swallowed_without_debris(
+        self, tmp_path, monkeypatch
+    ):
+        state = _state(tmp_path)
+        state.state_path = tmp_path / "state" / "state-test.state.json"
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        state.write_state()  # advisory: never raises
+        assert os.listdir(tmp_path / "state") == []
 
     def test_heartbeat_renews_only_the_owner(self, tmp_path):
         state = _state(tmp_path, lease_ttl_s=5.0)
