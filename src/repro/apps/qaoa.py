@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from repro.compiler import OptimizationLevel
 from repro.devices.device import Device
 from repro.ir.circuit import Circuit
-from repro.sim.statevector import simulate_statevector
+from repro.sim.batch import simulate_statevector_batch
 from repro.sim.density import density_distribution
 from repro.apps.vqe import _noisy_density
 
@@ -90,7 +90,10 @@ def _cut_values(graph: nx.Graph) -> np.ndarray:
 
 def expected_cut(circuit: Circuit, graph: nx.Graph) -> float:
     """Exact expected cut value of the prepared state."""
-    state = simulate_statevector(circuit.without_measurements())
+    # A batch of one: bit-identical to the scalar engine, and faster.
+    state = simulate_statevector_batch(
+        circuit.without_measurements(), [None]
+    )[0]
     probabilities = np.abs(state) ** 2
     return float(probabilities @ _cut_values(graph))
 

@@ -27,7 +27,7 @@ from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.sim.density import _evolve_density
 from repro.sim.plan import SimulationPlan, plan_simulation
-from repro.sim.statevector import simulate_statevector
+from repro.sim.batch import simulate_statevector_batch
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -128,7 +128,10 @@ def hardware_efficient_ansatz(
 
 def expectation_value(circuit: Circuit, hamiltonian: Hamiltonian) -> float:
     """Exact ``<psi|H|psi>`` of a (measurement-free) ansatz state."""
-    state = simulate_statevector(circuit.without_measurements())
+    # A batch of one: bit-identical to the scalar engine, and faster.
+    state = simulate_statevector_batch(
+        circuit.without_measurements(), [None]
+    )[0]
     return float(np.real(state.conj() @ hamiltonian.matrix() @ state))
 
 

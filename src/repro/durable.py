@@ -69,14 +69,25 @@ def read_jsonl(
     return records
 
 
+def _is_json_object(raw: bytes) -> bool:
+    """Whether ``raw`` decodes, as :func:`read_jsonl` does, to a dict."""
+    try:
+        return isinstance(json.loads(raw.decode("utf-8", errors="replace")), dict)
+    except ValueError:
+        return False
+
+
 class AppendLog:
     """An append-only file; every append is fsynced before it returns.
 
-    A crash mid-append can leave a torn final line.  It was never
-    acknowledged (acknowledgement follows the fsync of the whole line),
-    so the first append through a new handle cuts it back to the last
-    newline: the next record starts a line of its own instead of being
-    glued onto the fragment and lost with it.
+    A crash mid-append can leave a final line without its newline.  The
+    first append through a new handle repairs it so the next record
+    starts a line of its own instead of being glued onto the tail and
+    lost with it.  A tail that is a whole JSON object is one
+    :func:`read_jsonl` already replays, so it gets its newline and
+    stays; anything else is a torn fragment, never acknowledged
+    (acknowledgement follows the fsync of the whole line), and is cut
+    back to the last newline.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -92,7 +103,12 @@ class AppendLog:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
                 handle.seek(0)
-                handle.truncate(handle.read().rfind(b"\n") + 1)
+                data = handle.read()
+                start = data.rfind(b"\n") + 1
+                if _is_json_object(data[start:]):
+                    handle.write(b"\n")
+                else:
+                    handle.truncate(start)
         self._handle = handle
         return handle
 

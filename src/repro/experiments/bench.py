@@ -156,14 +156,15 @@ def _bench_mapper(repeats: int) -> Dict[str, float]:
 
     Unlike the other pairs this is not a serial-vs-vectorized rewrite:
     the "reference" is a cold exact solve and the "vectorized" side is
-    the portfolio race (greedy + annealing + bound-shared exact).  On a
-    mid-size instance where exact still finishes, the shared heuristic
-    bound prunes the exact search (fewer nodes) but the annealing
-    stages cost wall time, so the ratio hovers below 1.0x — the
-    portfolio's payoff is feasibility at 50+ qubits (see
+    the portfolio race (greedy, then a greedy-seeded exact stage on a
+    share of the budget; annealing and a final exact stage only if that
+    stage does not prove).  On a mid-size instance where exact still
+    finishes, the first exact stage proves it, so both sides run much
+    the same search and the ratio sits near 1.0x — the portfolio's
+    payoff is feasibility at 50+ qubits (see
     tests/test_mapper_portfolio.py), not speed here.  Report-only.
 
-    The equality assert is the PR's central invariant: a portfolio
+    The equality assert is the portfolio's central invariant: a race
     whose exact stage finishes must return the bit-identical placement
     of the cold exact solve.
     """

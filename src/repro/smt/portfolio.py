@@ -17,12 +17,16 @@ mapping *anytime*:
   the same seed always walks the same move sequence and returns the
   same placement.  A deadline may *truncate* the schedule (flagged in
   the returned run record) but never reorders it.
-* :class:`PortfolioSolver` — the race driver.  It runs greedy, then
-  annealing, then the exact branch-and-bound on the remaining budget,
-  sharing the best heuristic assignment into the exact solver as a
-  **bound-only warm hint** (the PR 5 mechanism): the hint certifies a
-  feasible max-min bound, the exact search replays its cold probe
-  sequence, and a finishing exact solve therefore returns the
+* :class:`PortfolioSolver` — the race driver.  It runs greedy, then the
+  exact branch-and-bound on a fixed share of the node limit and wall
+  budget.  Most instances (every paper device x benchmark cell) are
+  proven right there, and the race ends with exact as its only run.
+  Otherwise exhaustive enumeration or annealing refines the greedy seed,
+  and exact runs again on the remaining budget.  Each exact stage gets
+  the best assignment held so far (or a better warm hint) as a
+  **bound-only warm hint** (see :meth:`MaxMinSolver.solve`): the hint
+  certifies a feasible max-min bound, the exact search replays its cold
+  probe sequence, and a finishing exact solve therefore returns the
   bit-identical assignment a cold exact solve would.  If exact does not
   finish, the portfolio degrades to its best anytime answer — flagged
   ``method="heuristic"`` and **not** ``degraded`` (an anytime answer is
@@ -58,6 +62,14 @@ MAPPER_METHODS = ("exact", "portfolio", "heuristic")
 #: Fraction of a wall-clock budget the heuristic stages may consume
 #: before the exact stage takes over (portfolio mode only).
 _HEURISTIC_BUDGET_FRACTION = 0.25
+
+#: Shares of the per-check node limit and of the wall budget given to
+#: the greedy-seeded exact stage that runs before any heuristic search.
+#: On every paper device x benchmark problem it proves optimality
+#: inside a tenth of the default node limit (at most 18 565 nodes per
+#: solve), so annealing only runs where exact is genuinely hard.
+_EXACT_FIRST_NODE_FRACTION = 0.1
+_EXACT_FIRST_BUDGET_FRACTION = 0.1
 
 #: Instances with at most this many injective assignments are solved by
 #: exhaustive enumeration instead of annealing — on the paper's small
@@ -354,17 +366,21 @@ class SimulatedAnnealingRefiner:
 
 
 class PortfolioSolver:
-    """Anytime race: greedy → annealing → exact with a shared bound.
+    """Anytime race: greedy → exact → annealing → exact, sharing bounds.
 
     Drop-in for :class:`MaxMinSolver` (same ``solve(warm_hint=...)``
     surface).  ``include_exact=False`` gives the pure-heuristic mapper
     (the ``--mapper=heuristic`` mode): greedy plus annealing only.
 
-    When the exact stage finishes (``proven_optimal``), its answer is
-    returned unchanged — bound-only warm hints guarantee it is the
-    bit-identical assignment of a cold exact solve.  Otherwise the best
-    assignment seen anywhere in the race is returned; if that came from
-    a heuristic it is flagged ``method="heuristic"`` and not degraded.
+    The first exact stage gets a share of the node limit and wall
+    budget; if it proves optimality the race ends there with
+    ``runs == (exact,)``.  Otherwise the heuristics run and a second
+    exact stage gets the rest.  When an exact stage finishes
+    (``proven_optimal``), its answer is returned unchanged — bound-only
+    warm hints guarantee it is the bit-identical assignment of a cold
+    exact solve.  Otherwise the best assignment seen anywhere in the
+    race is returned; if that came from a heuristic it is flagged
+    ``method="heuristic"`` and not degraded.
     """
 
     def __init__(
@@ -432,23 +448,114 @@ class PortfolioSolver:
                 best_objective = objective
                 best_source = source
 
+        # The incoming warm hint (e.g. yesterday's placement) competes
+        # as a bound certificate only — it is never returned directly,
+        # preserving the bound-only story end to end.
+        hint_bound: Optional[Tuple[int, ...]] = None
+        hint_bound_objective = -1.0
+        if warm_hint is not None:
+            hint = tuple(int(v) for v in warm_hint)
+            try:
+                problem.validate(hint)
+            except ValueError:
+                pass
+            else:
+                hint_bound = hint
+                hint_bound_objective = problem.min_score(hint)
+
+        stats = SolverStats(proven_optimal=False)
+
+        def remaining_s() -> Optional[float]:
+            return None if deadline is None else deadline - time.monotonic()
+
+        def run_exact(
+            node_limit: int, time_limit_s: Optional[float]
+        ) -> Solution:
+            """One bound-shared exact solve, merged into the race.
+
+            Shares the strongest certificate we hold into the exact
+            solver's binary search.  Bound-only: when the exact stage
+            finishes, its assignment is bit-identical to a cold exact
+            solve.
+            """
+            certificate = best
+            if hint_bound is not None and hint_bound_objective > best_objective:
+                certificate = hint_bound
+            stage_start = time.monotonic()
+            exact = MaxMinSolver(
+                problem, node_limit=node_limit, time_limit_s=time_limit_s
+            ).solve(
+                warm_hint=certificate,
+                on_improve=lambda objective: bump_trajectory(
+                    "exact", objective
+                ),
+            )
+            stats.nodes += exact.stats.nodes
+            stats.feasibility_checks += exact.stats.feasibility_checks
+            runs.append(
+                SolverRun(
+                    name="exact",
+                    objective=exact.objective,
+                    nodes=exact.stats.nodes,
+                    time_s=time.monotonic() - stage_start,
+                    finished=exact.stats.proven_optimal,
+                )
+            )
+            return exact
+
+        def proven(exact: Solution) -> Solution:
+            stats.proven_optimal = True
+            stats.wall_time_s = time.monotonic() - started
+            return Solution(
+                assignment=exact.assignment,
+                objective=exact.objective,
+                stats=stats,
+                method="exact",
+                trajectory=tuple(trajectory),
+                runs=tuple(runs),
+                bound_shared=True,
+            )
+
         # Stage 1: greedy constructive.
         stage_start = time.monotonic()
         greedy = greedy_assignment(problem)
         problem.validate(greedy)
         greedy_objective = problem.min_score(greedy)
         record("greedy", greedy, greedy_objective)
-        runs.append(
-            SolverRun(
-                name="greedy",
-                objective=greedy_objective,
-                nodes=0,
-                time_s=time.monotonic() - stage_start,
-                finished=True,
-            )
+        greedy_run = SolverRun(
+            name="greedy",
+            objective=greedy_objective,
+            nodes=0,
+            time_s=time.monotonic() - stage_start,
+            finished=True,
         )
 
-        # Stage 2: refine the greedy seed.  Tiny instances are simply
+        # Stage 2: exact first, seeded with the greedy bound, on a
+        # share of the node limit and wall budget.  Most instances are
+        # proven here; the answer is then the cold exact assignment and
+        # the only run is exact (so MAP002 has no heuristic to compare
+        # against the optimum).
+        remaining = remaining_s()
+        if self.include_exact and (remaining is None or remaining > 0):
+            first_budget = remaining
+            if self.time_limit_s is not None:
+                first_budget = min(
+                    remaining, _EXACT_FIRST_BUDGET_FRACTION * self.time_limit_s
+                )
+            exact = run_exact(
+                max(1, int(self.node_limit * _EXACT_FIRST_NODE_FRACTION)),
+                first_budget,
+            )
+            if exact.stats.proven_optimal:
+                return proven(exact)
+            # Unproven: its effort stays in the stats and the run list,
+            # but its incumbent and bounds leave the race, which goes
+            # on exactly as it would have without this stage.
+            del trajectory[1:]
+            traj_best = greedy_objective
+        runs.insert(0, greedy_run)
+
+        # Stage 3: refine the greedy seed.  Tiny instances are simply
         # enumerated (deterministic, optimal); everything else gets the
         # annealer, capped at a fraction of the wall budget so exact
         # keeps the lion's share.
@@ -473,7 +580,7 @@ class PortfolioSolver:
             if deadline is not None:
                 anneal_deadline = min(
                     deadline,
-                    started
+                    stage_start
                     + _HEURISTIC_BUDGET_FRACTION * (self.time_limit_s or 0.0),
                 )
             # Deterministic restart seeds: same (seed, restarts) always
@@ -520,76 +627,14 @@ class PortfolioSolver:
                     )
                 )
 
-        # The incoming warm hint (e.g. yesterday's placement) competes
-        # as a bound certificate only — it is never returned directly,
-        # preserving the bound-only story end to end.
-        hint_bound: Optional[Tuple[int, ...]] = None
-        hint_bound_objective = -1.0
-        if warm_hint is not None:
-            hint = tuple(int(v) for v in warm_hint)
-            try:
-                problem.validate(hint)
-            except ValueError:
-                pass
-            else:
-                hint_bound = hint
-                hint_bound_objective = problem.min_score(hint)
-
-        stats = SolverStats(
-            nodes=0,
-            feasibility_checks=0,
-            proven_optimal=False,
-        )
-        bound_shared = False
-        if self.include_exact:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-            if remaining is None or remaining > 0:
-                # Share the strongest certificate we hold into the
-                # exact solver's binary search.  Bound-only: when the
-                # exact stage finishes, its assignment is bit-identical
-                # to a cold exact solve.
-                certificate = best
-                if hint_bound is not None and hint_bound_objective > best_objective:
-                    certificate = hint_bound
-                bound_shared = certificate is not None
-                stage_start = time.monotonic()
-                exact = MaxMinSolver(
-                    problem,
-                    node_limit=self.node_limit,
-                    time_limit_s=remaining,
-                ).solve(
-                    warm_hint=certificate,
-                    on_improve=lambda objective: bump_trajectory(
-                        "exact", objective
-                    ),
-                )
-                exact_time = time.monotonic() - stage_start
-                stats.nodes += exact.stats.nodes
-                stats.feasibility_checks += exact.stats.feasibility_checks
-                runs.append(
-                    SolverRun(
-                        name="exact",
-                        objective=exact.objective,
-                        nodes=exact.stats.nodes,
-                        time_s=exact_time,
-                        finished=exact.stats.proven_optimal,
-                    )
-                )
-                record("exact", exact.assignment, exact.objective)
-                if exact.stats.proven_optimal:
-                    stats.proven_optimal = True
-                    stats.wall_time_s = time.monotonic() - started
-                    return Solution(
-                        assignment=exact.assignment,
-                        objective=exact.objective,
-                        stats=stats,
-                        method="exact",
-                        trajectory=tuple(trajectory),
-                        runs=tuple(runs),
-                        bound_shared=bound_shared,
-                    )
+        # Stage 4: exact on the remaining budget and the full node
+        # limit, with the best certificate the race now holds.
+        remaining = remaining_s()
+        if self.include_exact and (remaining is None or remaining > 0):
+            exact = run_exact(self.node_limit, remaining)
+            record("exact", exact.assignment, exact.objective)
+            if exact.stats.proven_optimal:
+                return proven(exact)
 
         # Anytime fallback: the best assignment seen across the race.
         stats.wall_time_s = time.monotonic() - started
@@ -605,5 +650,5 @@ class PortfolioSolver:
             method=method,
             trajectory=tuple(trajectory),
             runs=tuple(runs),
-            bound_shared=bound_shared,
+            bound_shared=any(run.name == "exact" for run in runs),
         )

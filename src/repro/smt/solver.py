@@ -96,8 +96,34 @@ class Solution:
         return self.method == "exact" and not self.stats.proven_optimal
 
 
+def _row_masks(allowed: np.ndarray) -> List[int]:
+    """Each row of a boolean matrix as an int bitset (bit ``j`` = column ``j``).
+
+    One ``packbits`` call packs the whole matrix; rows of up to 64
+    columns then come out as Python ints through a single ``uint64``
+    view, so small devices pay no per-row Python loop.
+    """
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width <= 8:
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[row * width:(row + 1) * width], "little")
+        for row in range(rows)
+    ]
+
+
 class _FeasibilitySearch:
-    """Backtracking oracle: is there an assignment with all terms >= t?"""
+    """Backtracking oracle: is there an assignment with all terms >= t?
+
+    Domains are int bitsets (bit ``value`` set while ``value`` is still
+    allowed).  Each pair constraint becomes, per value of one variable,
+    the bitset of the neighbor's values it allows, so forward checking
+    is one AND per neighbor and MRV is a popcount.
+    """
 
     def __init__(
         self,
@@ -113,83 +139,113 @@ class _FeasibilitySearch:
         self.nodes = 0
         self.exhausted_budget = False
         num_vars, num_values = problem.num_vars, problem.num_values
+        # Terms often share one score array (every pair of a mapping
+        # problem scores against the same reliability matrix), so masks
+        # are built once per distinct array.
+        unary_masks: Dict[int, int] = {}
+        pair_masks: Dict[int, Tuple[List[int], List[int]]] = {}
         # Initial domains: unary terms filter values up front.
-        self.domains = np.ones((num_vars, num_values), dtype=bool)
+        self.domains = [(1 << num_values) - 1] * num_vars
         for term in problem.unary_terms:
-            self.domains[term.var] &= term.scores >= threshold
-        # Pair constraints as boolean matrices oriented (var, neighbor).
-        self.adjacency: Dict[int, List[Tuple[int, np.ndarray]]] = {
-            v: [] for v in range(num_vars)
-        }
-        for var, edges in problem.neighbors().items():
-            for other, scores in edges:
-                self.adjacency[var].append((other, scores >= threshold))
+            key = id(term.scores)
+            if key not in unary_masks:
+                allowed = (term.scores >= threshold)[np.newaxis, :]
+                unary_masks[key] = _row_masks(allowed)[0]
+            self.domains[term.var] &= unary_masks[key]
+        # Pair constraints oriented (var, neighbor): rows[value] is the
+        # bitset of neighbor values allowed next to ``var = value``.
+        self.adjacency: List[List[Tuple[int, List[int]]]] = [
+            [] for _ in range(num_vars)
+        ]
+        for term in problem.pair_terms:
+            key = id(term.scores)
+            if key not in pair_masks:
+                allowed = term.scores >= threshold
+                pair_masks[key] = (_row_masks(allowed), _row_masks(allowed.T))
+            forward, backward = pair_masks[key]
+            self.adjacency[term.var_u].append((term.var_v, forward))
+            self.adjacency[term.var_v].append((term.var_u, backward))
+        self.neg_degree = [-len(edges) for edges in self.adjacency]
 
     def run(self) -> Optional[List[int]]:
-        if not self.domains.any(axis=1).all():
+        if not all(self.domains):
             return None
         assignment: List[int] = [-1] * self.problem.num_vars
         if self._search(assignment, self.domains):
             return assignment
         return None
 
-    def _select_variable(self, assignment: List[int], domains: np.ndarray) -> int:
+    def _select_variable(self, assignment: List[int], domains: List[int]) -> int:
         """MRV heuristic, ties broken by term-graph degree then index."""
         best_var, best_key = -1, None
-        for var in range(self.problem.num_vars):
+        for var, domain in enumerate(domains):
             if assignment[var] >= 0:
                 continue
-            key = (int(domains[var].sum()), -len(self.adjacency[var]), var)
+            key = (domain.bit_count(), self.neg_degree[var])
+            # Strict ``<`` keeps the lowest index among equal keys.
             if best_key is None or key < best_key:
                 best_var, best_key = var, key
         return best_var
 
-    def _search(self, assignment: List[int], domains: np.ndarray) -> bool:
+    def _search(self, assignment: List[int], domains: List[int]) -> bool:
         var = self._select_variable(assignment, domains)
         if var < 0:
             return True  # every variable assigned
-        candidates = np.flatnonzero(domains[var])
-        for value in candidates:
+        unassigned = [
+            v for v, placed in enumerate(assignment) if placed < 0 and v != var
+        ]
+        candidates = domains[var]
+        while candidates:
+            bit = candidates & -candidates  # ascending value order
+            candidates ^= bit
             self.nodes += 1
             if self.nodes > self.node_limit or (
                 self.deadline is not None and time.monotonic() > self.deadline
             ):
                 self.exhausted_budget = True
                 return False
-            new_domains = domains.copy()
-            # Injectivity: the value is consumed.
-            new_domains[:, value] = False
-            new_domains[var] = False
-            new_domains[var, value] = True
-            # Forward-check pair constraints of the newly assigned var.
-            ok = True
-            for other, allowed in self.adjacency[var]:
-                if assignment[other] >= 0:
-                    if not allowed[value, assignment[other]]:
-                        ok = False
-                        break
-                else:
-                    new_domains[other] &= allowed[value]
-                    if not new_domains[other].any():
-                        ok = False
-                        break
-            if not ok:
+            value = bit.bit_length() - 1
+            new_domains = self._assign(
+                assignment, var, value, domains, unassigned
+            )
+            if new_domains is None:
                 continue
-            # Unassigned variables must all retain a value.
-            unassigned = [
-                v
-                for v in range(self.problem.num_vars)
-                if assignment[v] < 0 and v != var
-            ]
-            if unassigned and not new_domains[unassigned].any(axis=1).all():
-                continue
-            assignment[var] = int(value)
+            assignment[var] = value
             if self._search(assignment, new_domains):
                 return True
             assignment[var] = -1
             if self.exhausted_budget:
                 return False
         return False
+
+    def _assign(
+        self,
+        assignment: List[int],
+        var: int,
+        value: int,
+        domains: List[int],
+        unassigned: List[int],
+    ) -> Optional[List[int]]:
+        """Domains after ``var = value``, or None if one of them empties."""
+        bit = 1 << value
+        new_domains = list(domains)
+        new_domains[var] = bit
+        # Injectivity: the value is consumed.
+        for other in unassigned:
+            remaining = domains[other] & ~bit
+            if not remaining:
+                return None
+            new_domains[other] = remaining
+        # Forward-check pair constraints of the newly assigned var.
+        # Assigned neighbors need no check: assigning them already
+        # filtered this variable's domain by the same constraint.
+        for other, rows in self.adjacency[var]:
+            if assignment[other] < 0:
+                remaining = new_domains[other] & rows[value]
+                if not remaining:
+                    return None
+                new_domains[other] = remaining
+        return new_domains
 
 
 class MaxMinSolver:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.apps.qaoa import (
+    _cut_values,
     expected_cut,
     max_cut_value,
     noisy_expected_cut,
@@ -14,6 +15,7 @@ from repro.apps.qaoa import (
 )
 from repro.compiler import OptimizationLevel
 from repro.devices import ibmq16_rueschlikon, umd_trapped_ion
+from repro.sim.statevector import simulate_statevector
 
 
 class TestGraphUtilities:
@@ -70,6 +72,15 @@ class TestOptimization:
                 graph, [rng.uniform(0, np.pi)], [rng.uniform(0, np.pi)]
             )
             assert expected_cut(circuit, graph) <= optimum + 1e-9
+
+    def test_expected_cut_matches_scalar_engine_bit_for_bit(self):
+        # expected_cut runs the batched engine on a batch of one; the
+        # scalar engine is its oracle.
+        graph = ring_graph(5)
+        circuit = qaoa_circuit(graph, [0.7, 0.2], [0.4, 1.1])
+        state = simulate_statevector(circuit.without_measurements())
+        reference = float(np.abs(state) ** 2 @ _cut_values(graph))
+        assert expected_cut(circuit, graph) == reference
 
 
 class TestNoisyEvaluation:

@@ -15,6 +15,7 @@ from repro.apps import (
 )
 from repro.compiler import OptimizationLevel
 from repro.devices import ibmq14_melbourne, umd_trapped_ion
+from repro.sim.statevector import simulate_statevector
 
 
 class TestHamiltonian:
@@ -85,6 +86,20 @@ class TestOptimization:
             params = rng.uniform(-np.pi, np.pi, 4)
             circuit = hardware_efficient_ansatz(params, 2, 1)
             assert expectation_value(circuit, hamiltonian) >= ground - 1e-9
+
+    def test_energy_matches_scalar_engine_bit_for_bit(self):
+        # expectation_value runs the batched engine on a batch of one;
+        # the scalar engine is its oracle.
+        hamiltonian = h2_hamiltonian()
+        rng = np.random.default_rng(1)
+        for layers in (1, 2):
+            params = rng.uniform(-np.pi, np.pi, 2 * (layers + 1))
+            circuit = hardware_efficient_ansatz(params, 2, layers)
+            state = simulate_statevector(circuit.without_measurements())
+            reference = float(
+                np.real(state.conj() @ hamiltonian.matrix() @ state)
+            )
+            assert expectation_value(circuit, hamiltonian) == reference
 
 
 class TestNoisyEnergy:

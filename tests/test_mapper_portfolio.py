@@ -40,6 +40,7 @@ from repro.devices.library import (
     example_8q_device,
     google_bristlecone_72,
     ibmq5_tenerife,
+    ibmq14_melbourne,
     synthetic_grid,
 )
 from repro.ir.decompose import decompose_to_basis
@@ -134,8 +135,10 @@ class TestMappingSurface:
         assert raced.placement == exact.placement
         assert raced.method == "exact"
         assert raced.bound_shared and not exact.bound_shared
+        # Proven by the greedy-seeded first exact stage: no heuristic
+        # run is recorded, so MAP002 has nothing to compare.
         names = [run[0] for run in raced.solver_runs]
-        assert names[0] == "greedy" and names[-1] == "exact"
+        assert names == ["exact"]
         objectives = [event[1] for event in raced.bound_trajectory]
         assert objectives == sorted(objectives)
 
@@ -147,6 +150,84 @@ class TestMappingSurface:
         assert mapping.method == "heuristic"
         assert not mapping.degraded
         assert "exact" not in {run[0] for run in mapping.solver_runs}
+
+
+class TestExactFirstStage:
+    """The greedy-seeded exact stage that runs before any heuristic."""
+
+    @pytest.mark.parametrize(
+        "device",
+        [d for d in all_devices() if d.num_qubits >= 14],
+        ids=lambda d: d.name.replace(" ", "-"),
+    )
+    def test_strict_portfolio_mapping_has_no_map002(self, device):
+        # Greedy alone falls below 0.95x the optimum on several of
+        # these cells (BV8 on melbourne: 0.485 vs 0.710).  A race the
+        # first exact stage proves records no heuristic run, so the
+        # strict contract has nothing to flag.
+        reliability = compute_reliability(device)
+        checked = 0
+        for benchmark in standard_suite():
+            circuit, _ = benchmark.build()
+            if circuit.num_qubits > device.num_qubits:
+                continue
+            mapping = smt_mapping(
+                decompose_to_basis(circuit),
+                device,
+                reliability,
+                mapper="portfolio",
+            )
+            check_mapper_divergence(mapping, device)
+            assert [run[0] for run in mapping.solver_runs] == ["exact"], (
+                device.name,
+                benchmark.name,
+            )
+            checked += 1
+        assert checked >= 5, f"suite barely exercised {device.name}"
+
+    def test_cut_first_stage_falls_through_to_the_race(self):
+        # A tenth of node_limit=10 000 cuts the first exact stage on
+        # BV8/melbourne; the full limit lets the final stage prove.
+        device = ibmq14_melbourne()
+        reliability = compute_reliability(device)
+        circuit = decompose_to_basis(bernstein_vazirani(8)[0])
+        cold = smt_mapping(circuit, device, reliability, mapper="exact")
+        raced = smt_mapping(
+            circuit, device, reliability, node_limit=10_000,
+            mapper="portfolio",
+        )
+        assert [(run[0], run[4]) for run in raced.solver_runs] == [
+            ("greedy", True),
+            ("exact", False),
+            ("annealing", True),
+            ("annealing", True),
+            ("annealing", True),
+            ("exact", True),
+        ]
+        assert raced.placement == cold.placement
+        assert raced.objective == cold.objective
+        assert raced.method == "exact" and not raced.degraded
+        objectives = [event[1] for event in raced.bound_trajectory]
+        assert raced.bound_trajectory[0][0] == "greedy"
+        assert objectives == sorted(objectives)
+        assert objectives[-1] == raced.objective
+
+        # MAP002 judges the best heuristic, the annealer, against the
+        # optimum: greedy alone is far below the bound, and removing
+        # the annealing runs turns the same record into a breach.
+        greedy = raced.solver_runs[0]
+        assert greedy[1] < MIN_HEURISTIC_RATIO * raced.objective
+        check_mapper_divergence(raced, device)
+        without_annealer = InitialMapping(
+            placement=raced.placement,
+            num_hardware_qubits=device.num_qubits,
+            objective=raced.objective,
+            solver_runs=tuple(
+                run for run in raced.solver_runs if run[0] != "annealing"
+            ),
+        )
+        with pytest.raises(MapperDivergenceError, match="fell below"):
+            check_mapper_divergence(without_annealer, device)
 
 
 class TestScaleSmoke:

@@ -189,10 +189,11 @@ class TestPortfolioRace:
     def test_solver_run_names_and_shapes(self):
         problem = random_problem(0)
         solution = PortfolioSolver(problem).solve()
+        # The greedy-seeded first exact stage proves this instance, so
+        # the race ends there with exact as its only run.
         names = [run.name for run in solution.runs]
-        assert names[0] == "greedy"
-        assert names[-1] == "exact"
-        assert set(names) <= {"greedy", "exhaustive", "annealing", "exact"}
+        assert names == ["exact"]
+        assert solution.runs[0].finished
         for run in solution.runs:
             assert run.time_s >= 0
             assert run.nodes >= 0
