@@ -662,26 +662,13 @@ def _check_rewrite(
             pass_name=pass_name,
             device=device,
         )
-    from repro.contracts.checks import (
-        DEFAULT_SEMANTIC_QUBIT_LIMIT,
-        compact_circuit,
-    )
-    from repro.sim.statevector import ideal_distribution
-    from repro.verify import distribution_distance
+    from repro.contracts.checks import semantic_distance
 
-    if not any(inst.is_measurement for inst in before):
-        return
-    src = compact_circuit(before)
-    dst = compact_circuit(after)
-    if max(src.num_qubits, dst.num_qubits) > DEFAULT_SEMANTIC_QUBIT_LIMIT:
-        return
-    distance = distribution_distance(
-        ideal_distribution(src), ideal_distribution(dst)
-    )
-    if distance > atol:
+    compared = semantic_distance(before, after)
+    if compared is not None and compared[0] > atol:
         raise PassDistributionError(
             f"pass {pass_name!r} changed the ideal output distribution "
-            f"(total-variation distance {distance:.3e} > {atol:.1e})",
+            f"(total-variation distance {compared[0]:.3e} > {atol:.1e})",
             pass_name=pass_name,
             device=device,
         )

@@ -38,7 +38,6 @@ from repro.contracts.checks import (
     check_codegen,
     check_semantics,
     check_compiled_program,
-    compact_circuit,
 )
 from repro.contracts.inject import CONTRACT_FAULT_ENV, injected_stage
 
@@ -66,7 +65,6 @@ __all__ = [
     "check_codegen",
     "check_semantics",
     "check_compiled_program",
-    "compact_circuit",
     "CONTRACT_FAULT_ENV",
     "injected_stage",
 ]

@@ -50,7 +50,6 @@ from repro.contracts.errors import (
 from repro.devices.device import Device
 from repro.devices.gatesets import VendorFamily
 from repro.ir.circuit import Circuit
-from repro.ir.instruction import Instruction
 from repro.rotations import Quaternion
 
 #: Quaternion comparison tolerance for coalesced rotation runs.
@@ -524,19 +523,27 @@ def check_codegen(circuit: Circuit, device: Device) -> None:
 # ----------------------------------------------------------------------
 # End-to-end semantics
 # ----------------------------------------------------------------------
-def compact_circuit(circuit: Circuit) -> Circuit:
-    """Renumber a hardware circuit onto only its used qubits.
+def semantic_distance(
+    source: Circuit,
+    compiled: Circuit,
+    max_qubits: int = DEFAULT_SEMANTIC_QUBIT_LIMIT,
+) -> Optional[Tuple[float, Dict[str, float], Dict[str, float]]]:
+    """TV distance between the noise-free distributions of ``source``
+    and ``compiled``, and both distributions; None (skipped) when
+    ``source`` measures nothing or either circuit touches more than
+    ``max_qubits`` qubits."""
+    if not any(inst.is_measurement for inst in source) or any(
+        len(c.used_qubits()) > max_qubits for c in (source, compiled)
+    ):
+        return None
+    # Lazy import: repro.verify imports the compiler pipeline, which
+    # imports this package.
+    from repro.sim.plan import ideal_distribution
+    from repro.verify import distribution_distance
 
-    The compiled circuit lives on all ``device.num_qubits`` wires but
-    touches only a few; simulating the compact version makes the
-    semantic check cheap even for 16-qubit devices.  Classical bits are
-    untouched, so output distributions are unchanged.
-    """
-    used = circuit.used_qubits()
-    if not used or len(used) == circuit.num_qubits:
-        return circuit
-    renumber = {hw: index for index, hw in enumerate(used)}
-    return circuit.remap(renumber, num_qubits=len(used))
+    expected = ideal_distribution(source)
+    actual = ideal_distribution(compiled)
+    return distribution_distance(expected, actual), expected, actual
 
 
 def check_semantics(
@@ -549,36 +556,22 @@ def check_semantics(
     """The compiled circuit computes the source program.
 
     Both circuits are simulated noiselessly and their classical output
-    distributions compared (total variation distance).  Skipped —
+    distributions compared (:func:`semantic_distance`).  Skipped —
     contracts must never turn a working compile into a failure — when
-    the source has no measurements (no observable output) or when the
-    compact compiled circuit is too large to simulate quickly.
+    the source measures nothing or either circuit is too large.
     """
-    if not any(inst.is_measurement for inst in source):
+    if source.num_qubits > max_qubits:
         return
-    compact = compact_circuit(compiled)
-    if source.num_qubits > max_qubits or compact.num_qubits > max_qubits:
+    compared = semantic_distance(source, compiled, max_qubits)
+    if compared is None:
         return
-    # Lazy import: repro.verify imports the compiler pipeline, which
-    # imports this package.
-    from repro.verify import distribution_distance
-    from repro.sim.statevector import ideal_distribution
-
-    expected = ideal_distribution(source)
-    actual = ideal_distribution(compact)
-    distance = distribution_distance(expected, actual)
+    distance, expected, actual = compared
     if distance > atol:
-        worst = sorted(
-            set(expected) | set(actual),
-            key=lambda k: -abs(expected.get(k, 0.0) - actual.get(k, 0.0)),
-        )[:3]
-        detail = ", ".join(
-            f"{k}: {expected.get(k, 0.0):.4f} vs {actual.get(k, 0.0):.4f}"
-            for k in worst
-        )
+        from repro.verify import divergence_detail
+
         raise SemanticsContractError(
             f"output distribution diverged (TV distance {distance:.3g}; "
-            f"{detail})",
+            f"{divergence_detail(expected, actual, 3)})",
             device=device.name,
         )
 

@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.options import CompileOptions
 from repro.compiler.passes import OPT_PRESETS
-from repro.contracts.checks import compact_circuit
 from repro.contracts.errors import ContractError
 from repro.ir.circuit import Circuit
 from repro.ir.decompose import decompose_to_basis
@@ -218,9 +217,9 @@ def classify(
         return None
     # Differential cross-check, independent of the contracts layer:
     # simulate the decomposed source (the compiler's own entry basis)
-    # against the compiled program compacted onto its used qubits.
+    # against the compiled hardware circuit.
     expected = ideal_distribution(decompose_to_basis(circuit))
-    actual = ideal_distribution(compact_circuit(program.circuit))
+    actual = ideal_distribution(program.circuit)
     distance = distribution_distance(expected, actual)
     if distance > atol:
         return (

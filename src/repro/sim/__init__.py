@@ -5,13 +5,13 @@ real machine that return the correct answer — on seven QC prototypes.
 This package substitutes a dense state-vector simulator with
 calibration-driven noise:
 
-* :mod:`repro.sim.statevector` — exact unitary evolution and ideal
-  output distributions,
+* :mod:`repro.sim.statevector` — the scalar reference engine, the
+  oracle the batched engine is checked against,
 * :mod:`repro.sim.noise` — per-gate depolarizing (random Pauli) fault
   injection driven by a device calibration, plus readout confusion,
 * :mod:`repro.sim.plan` — the one validated, compacted setup
-  (:class:`~repro.sim.plan.SimulationPlan`) every estimator below and
-  the noisy application evaluations start from,
+  (:class:`~repro.sim.plan.SimulationPlan`) every estimator below, the
+  apps' noisy evaluations and ``ideal_distribution`` start from,
 * :mod:`repro.sim.success` — Monte-Carlo success-rate estimation over
   fault configurations, with the analytic ESP (estimated success
   probability) model as a fast cross-check,
@@ -30,8 +30,8 @@ from repro.sim.statevector import (
     apply_instruction,
     simulate_statevector,
     circuit_unitary,
-    ideal_distribution,
 )
+from repro.sim.plan import ideal_distribution
 from repro.sim.noise import NoiseModel, PauliFault
 from repro.sim.success import (
     SuccessEstimate,

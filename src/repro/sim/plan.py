@@ -6,10 +6,10 @@ measurement wiring, its calibrated :class:`NoiseModel`, the register
 the engine simulates, and each measured qubit's readout error there.
 :func:`plan_simulation` derives and validates them once.
 
-The plan also makes the one compaction decision
-(:func:`repro.sim.batch.compact_register`).  Noise, fault positions and
-the RNG stream stay on the device register; only the engine sees the
-compacted one, through :attr:`SimulationPlan.index`.  A statevector plan
+The plan and :func:`ideal_distribution` share the one compaction
+decision (:func:`engine_register`).  Noise, fault positions and the RNG
+stream stay on the device register; only the engine sees the compacted
+one, through :attr:`SimulationPlan.index`.  A statevector register
 compacts only when this BLAS passed the width-invariance self-check, so
 its floats stay bit-identical to the full register's; a density plan
 always compacts, since a 4**n matrix of the device register would not
@@ -77,12 +77,7 @@ class SimulationPlan:
 
     def ideal_distribution(self) -> Dict[str, float]:
         """The noise-free distribution over the classical bits."""
-        # A batch of one is the scalar engine's own BLAS call per gate,
-        # without its per-gate axis bookkeeping.
-        state = simulate_statevector_batch(self.simulated, [None])[0]
-        return distribution_from_state(
-            state, self.wiring, self.simulated.num_qubits
-        )
+        return _noiseless_distribution(self.simulated, self.wiring)
 
     def readout_survival(self) -> float:
         """Probability that no measured bit suffers a readout flip."""
@@ -98,6 +93,33 @@ class SimulationPlan:
         return readout_corrected_probability(
             distribution, correct, self.wiring, self.readout
         )
+
+
+def engine_register(
+    circuit: Circuit, *, density: bool = False
+) -> Tuple[Circuit, Dict[int, int]]:
+    """The circuit the engine runs and device -> engine qubit index:
+    :func:`compact_register`'s, or the full register when that is no
+    smaller or (statevector) the wide kernel failed its self-check."""
+    compact = compact_register(circuit)
+    if compact is None or not (density or _wide_kernel_bit_identical()):
+        return circuit, {q: q for q in range(circuit.num_qubits)}
+    return compact
+
+
+def _noiseless_distribution(
+    simulated: Circuit, wiring: Sequence[Tuple[int, int]]
+) -> Dict[str, float]:
+    # A batch of one is the scalar engine's own BLAS call per gate,
+    # without its per-gate axis bookkeeping.
+    state = simulate_statevector_batch(simulated, [None])[0]
+    return distribution_from_state(state, wiring, simulated.num_qubits)
+
+
+def ideal_distribution(circuit: Circuit) -> Dict[str, float]:
+    """Noise-free output distribution over the measured classical bits."""
+    simulated, _ = engine_register(circuit)
+    return _noiseless_distribution(simulated, measurement_wiring(simulated))
 
 
 def plan_simulation(
@@ -119,10 +141,7 @@ def plan_simulation(
             f"but device {device.name!r} has only {device.num_qubits}"
         )
     model = NoiseModel.from_device(device, circuit, day)
-    compact = compact_register(circuit)
-    if compact is None or not (density or _wide_kernel_bit_identical()):
-        compact = circuit, {q: q for q in range(circuit.num_qubits)}
-    simulated, index = compact
+    simulated, index = engine_register(circuit, density=density)
     return SimulationPlan(
         circuit=circuit,
         calibration=device.calibration(day),

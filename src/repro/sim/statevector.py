@@ -1,4 +1,6 @@
-"""Dense state-vector simulation of circuits.
+"""The scalar reference engine: dense state-vector simulation, one
+``np.tensordot`` per gate.  No production path runs it; it is the
+oracle the batched engine (:mod:`repro.sim.batch`) is checked against.
 
 Basis convention: qubit 0 is the most significant bit of the basis
 index, so state index ``b`` encodes the bitstring ``format(b, f"0{n}b")``
@@ -156,10 +158,3 @@ def distribution_from_state(
         np.abs(state) ** 2, wiring, num_qubits, _PROB_EPS
     )
 
-
-def ideal_distribution(circuit: Circuit) -> Dict[str, float]:
-    """Noise-free output distribution over the measured classical bits."""
-    state = simulate_statevector(circuit)
-    return distribution_from_state(
-        state, measurement_wiring(circuit), circuit.num_qubits
-    )

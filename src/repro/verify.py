@@ -18,7 +18,7 @@ from typing import Dict
 
 from repro.compiler.pipeline import CompiledProgram
 from repro.ir.circuit import Circuit
-from repro.sim.statevector import ideal_distribution
+from repro.sim.plan import ideal_distribution
 
 
 class CompilationError(AssertionError):
@@ -49,6 +49,21 @@ def distribution_distance(
     )
 
 
+def divergence_detail(
+    expected: Dict[str, float], actual: Dict[str, float], top: int
+) -> str:
+    """The ``top`` outcomes whose probabilities differ most, each as
+    ``bits: expected vs actual``."""
+    worst = sorted(
+        set(expected) | set(actual),
+        key=lambda k: -abs(expected.get(k, 0.0) - actual.get(k, 0.0)),
+    )[:top]
+    return ", ".join(
+        f"{k}: {expected.get(k, 0.0):.4f} vs {actual.get(k, 0.0):.4f}"
+        for k in worst
+    )
+
+
 def assert_distributions_close(
     expected: Dict[str, float],
     actual: Dict[str, float],
@@ -57,17 +72,9 @@ def assert_distributions_close(
     """Raise :class:`CompilationError` when two distributions differ."""
     distance = distribution_distance(expected, actual)
     if distance > atol:
-        diffs = sorted(
-            set(expected) | set(actual),
-            key=lambda k: -abs(expected.get(k, 0.0) - actual.get(k, 0.0)),
-        )[:5]
-        detail = ", ".join(
-            f"{k}: {expected.get(k, 0.0):.4f} vs {actual.get(k, 0.0):.4f}"
-            for k in diffs
-        )
         raise CompilationError(
             f"output distributions differ (TV distance {distance:.3g}); "
-            f"largest discrepancies: {detail}"
+            f"largest discrepancies: {divergence_detail(expected, actual, 5)}"
         )
 
 

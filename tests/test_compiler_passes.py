@@ -35,7 +35,7 @@ from repro.contracts.errors import (
 )
 from repro.contracts.mode import ContractMode, ContractRecorder
 from repro.ir.circuit import Circuit
-from repro.sim.statevector import circuit_unitary, ideal_distribution
+from repro.sim import circuit_unitary, ideal_distribution
 from repro.verify import distribution_distance
 
 

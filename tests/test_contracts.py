@@ -1,7 +1,6 @@
 """Pass contracts: stage checks, modes, fault injection, plumbing."""
 
 import dataclasses
-import math
 
 import pytest
 
@@ -27,14 +26,20 @@ from repro.contracts import (
     check_scheduling,
     check_semantics,
     check_translation,
-    compact_circuit,
 )
 from repro.contracts.errors import ERROR_CODES, CodegenParseError
-from repro.devices import ibmq5_tenerife, rigetti_agave, umd_trapped_ion
+from repro.devices import (
+    ibmq5_tenerife,
+    ibmq16_rueschlikon,
+    rigetti_agave,
+    umd_trapped_ion,
+)
 from repro.ir import Circuit
 from repro.ir.decompose import decompose_to_basis
 from repro.ir.instruction import Instruction
-from repro.programs import bernstein_vazirani
+from repro.programs import bernstein_vazirani, hidden_shift
+from repro.sim.batch import compact_register
+from repro.verify import CompilationError, verify_compilation
 
 INJECTABLE_STAGES = (
     "mapping", "routing", "scheduling", "translate", "onequbit", "codegen",
@@ -192,15 +197,62 @@ class TestStageChecks:
         device = umd_trapped_ion()
         check_semantics(Circuit(2).h(0), Circuit(2).x(0), device)
 
-    def test_compact_circuit_preserves_wiring(self):
+    def test_compact_register_preserves_wiring(self):
         circuit = Circuit(5)
         circuit.x(3)
         circuit.measure(3, 0)
-        compact = compact_circuit(circuit)
-        assert compact.num_qubits == 1
+        compact, index = compact_register(circuit)
+        assert index == {3: 0}
+        assert compact.num_qubits < circuit.num_qubits
         assert compact.instructions[1] == Instruction(
             "measure", (0,), (), (0,)
         )
+
+
+def _swap_cbits(circuit, a, b):
+    """``circuit`` with the measurements into cbits ``a`` and ``b``
+    writing into each other's bit."""
+    swap = {a: b, b: a}
+    out = Circuit(circuit.num_qubits, name=circuit.name)
+    for inst in circuit:
+        if inst.is_measurement:
+            inst = dataclasses.replace(
+                inst, cbits=tuple(swap.get(c, c) for c in inst.cbits)
+            )
+        out.append(inst)
+    return out
+
+
+class TestWideRegisterSemantics:
+    """The semantic checks on a 16-qubit hardware register, which
+    :func:`repro.sim.ideal_distribution` compacts before simulating."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        source, answer = hidden_shift(4, shift="1100")
+        device = ibmq16_rueschlikon()
+        program = TriQCompiler(device).compile(source)
+        assert program.circuit.num_qubits == 16
+        return source, answer, program
+
+    def test_unmodified_program_passes(self, compiled):
+        source, _, program = compiled
+        check_semantics(decompose_to_basis(source), program.circuit,
+                        program.device)
+        assert verify_compilation(source, program).ok
+
+    def test_swapped_cbits_fail_both_checks(self, compiled):
+        source, answer, program = compiled
+        # The answer differs in cbits 1 and 2, so the swap is visible.
+        assert answer[1] != answer[2]
+        broken = dataclasses.replace(
+            program, circuit=_swap_cbits(program.circuit, 1, 2)
+        )
+        with pytest.raises(SemanticsContractError, match="diverged"):
+            check_semantics(decompose_to_basis(source), broken.circuit,
+                            program.device)
+        with pytest.raises(CompilationError, match="differ"):
+            verify_compilation(source, broken)
 
 
 class TestPipelineIntegration:

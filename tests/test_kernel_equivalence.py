@@ -12,7 +12,10 @@ exactly:
   **identical** ``next_hop`` (the routing tiebreaks must not drift);
 * mapping — a warm hint (same-problem or cross-calibration-day) never
   changes the returned placement, and the batched success estimator
-  returns the reference's exact float.
+  returns the reference's exact float;
+* noise-free distributions — ``ideal_distribution`` (batched engine,
+  compacted register) is **dict-equal** to the scalar engine run on the
+  full device register.
 
 Workloads are seeded random circuits (``repro.contracts.fuzz``), so a
 failure replays exactly from the test id.
@@ -34,12 +37,18 @@ from repro.compiler.mapping import smt_mapping
 from repro.compiler.reliability import _reference_compute_reliability
 from repro.contracts.fuzz import random_circuit
 from repro.devices import all_devices, device_by_name
+from repro.experiments.runner import fits
 from repro.ir import Circuit
 from repro.ir.instruction import Instruction
 from repro.obs import Tracer, tracer_context
-from repro.programs import benchmark_by_name
+from repro.programs import benchmark_by_name, standard_suite
+from repro.sim import ideal_distribution
 from repro.sim.batch import compact_register
-from repro.sim.statevector import measurement_wiring
+from repro.sim.statevector import (
+    distribution_from_state,
+    measurement_wiring,
+    simulate_statevector,
+)
 from repro.sim.success import (
     _reference_monte_carlo_success_rate,
     monte_carlo_success_rate,
@@ -243,6 +252,39 @@ class TestCompactedRegister:
             s for s in tracer.walk() if s.name == "simulate.success"
         ]
         assert sim_span.attrs["state_qubits"] == device.num_qubits
+
+
+#: Every fitting benchmark x level on the narrow study devices, plus one
+#: cell on each 14- and 16-qubit device (the full-register reference is
+#: the slow side there).
+IDENTITY_CELLS = [
+    (device_short, bench.name, level)
+    for device_short in ("tenerife", "agave", "umd")
+    for bench in standard_suite()
+    if fits(bench.build()[0], device_by_name(device_short))
+    for level in OptimizationLevel
+] + [
+    ("melbourne", "Toffoli", OptimizationLevel.OPT_1QCN),
+    ("rueschlikon", "BV6", OptimizationLevel.OPT_1QCN),
+    ("aspen1", "HS6", OptimizationLevel.OPT_1QCN),
+    ("aspen3", "QFT", OptimizationLevel.OPT_1QCN),
+]
+
+
+@pytest.mark.parametrize("device_short,bench_name,level", IDENTITY_CELLS)
+def test_ideal_distribution_matches_full_register_scalar(
+    device_short, bench_name, level
+):
+    circuit, _ = benchmark_by_name(bench_name).build()
+    compiled = TriQCompiler(
+        device_by_name(device_short), level=level, time_limit_s=None
+    ).compile(circuit).circuit
+    reference = distribution_from_state(
+        simulate_statevector(compiled),
+        measurement_wiring(compiled),
+        compiled.num_qubits,
+    )
+    assert ideal_distribution(compiled) == reference
 
 
 def test_reference_paths_importable():
