@@ -39,11 +39,12 @@ def run_path_selection():
     # A 3x3 grid whose central column is terrible: hop-count routing
     # crosses it, reliability routing goes around.
     topology = Topology.grid(3, 3)
-    device = make_device(topology, two_qubit_error=0.05)
+    device = make_device(
+        topology,
+        two_qubit_error=0.05,
+        edge_errors={edge: 0.45 for edge in ((1, 4), (4, 7), (3, 4), (4, 5))},
+    )
     calibration = device.calibration()
-    for edge in (frozenset((1, 4)), frozenset((4, 7)), frozenset((3, 4)),
-                 frozenset((4, 5))):
-        calibration.two_qubit_error[edge] = 0.45
     circuit = decompose_to_basis(Circuit(9).cx(3, 5))
     mapping = default_mapping(circuit, device)
     reliability = compute_reliability(device)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.devices import rigetti_agave, rigetti_aspen1
 from repro.experiments import fig11_noise
-from repro.experiments.stats import geomean
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ across the board.
 
 from conftest import emit
 from repro.experiments import fig9_success
-from repro.experiments.stats import geomean
 
 
 def test_fig9_success_rates(benchmark):

@@ -43,8 +43,8 @@ from repro.experiments.runner import (
     DEFAULT_FAULT_SAMPLES,
     CompilerName,
     artifact_key,
+    compile_keyed,
     compile_with,
-    compile_with_cache,
     compiler_label,
     fits,
 )
@@ -135,7 +135,7 @@ def build_program(
 def _resolve_device(device: Union[str, Device], day: int) -> Device:
     if isinstance(device, str):
         return device_by_name(device, day=day)
-    return device
+    return device.on_day(day)
 
 
 @contextmanager
@@ -194,8 +194,8 @@ def _record_opt_metrics(obs_holder: List[Any], program) -> None:
 
 
 def _compile_result(
-    benchmark, built_circuit, correct, device, level, day,
-    options: CompileOptions, program, cache_hit, obs,
+    benchmark, correct, device, level, day, key: str, program, cache_hit,
+    obs,
 ) -> CompileResult:
     """The typed result of one finished compile."""
     return CompileResult(
@@ -212,9 +212,7 @@ def _compile_result(
         depth=program.depth(),
         num_swaps=program.num_swaps,
         compile_time_s=program.compile_time_s,
-        cache_key=artifact_key(
-            built_circuit, device, level, day=day, options=options
-        ),
+        cache_key=key,
         cache_hit=cache_hit,
         degraded=program.initial_mapping.degraded,
         mapper_method=program.initial_mapping.method,
@@ -276,15 +274,19 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
+    key = artifact_key(
+        built_circuit, resolved_device, resolved_level, day=day,
+        options=options,
+    )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
-        program, cache_hit = compile_with_cache(
-            built_circuit, resolved_device, resolved_level, day=day,
+        program, cache_hit = compile_keyed(
+            key, built_circuit, resolved_device, resolved_level, day=day,
             cache=cache, options=options,
         )
         _record_opt_metrics(obs_holder, program)
     return _compile_result(
-        benchmark, built_circuit, correct, resolved_device, resolved_level,
-        day, options, program, cache_hit, obs_holder[0],
+        benchmark, correct, resolved_device, resolved_level, day, key,
+        program, cache_hit, obs_holder[0],
     )
 
 
@@ -323,9 +325,13 @@ def run(
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
+    key = artifact_key(
+        built_circuit, resolved_device, resolved_level, day=day,
+        options=options,
+    )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
-        program, cache_hit = compile_with_cache(
-            built_circuit, resolved_device, resolved_level, day=day,
+        program, cache_hit = compile_keyed(
+            key, built_circuit, resolved_device, resolved_level, day=day,
             cache=cache, options=options,
         )
         _record_opt_metrics(obs_holder, program)
@@ -337,8 +343,8 @@ def run(
             fault_samples=fault_samples,
         )
     compiled = _compile_result(
-        benchmark, built_circuit, correct, resolved_device, resolved_level,
-        day, options, program, cache_hit, obs_holder[0],
+        benchmark, correct, resolved_device, resolved_level, day, key,
+        program, cache_hit, obs_holder[0],
     )
     return RunResult(
         compiled=compiled,

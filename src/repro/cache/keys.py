@@ -34,9 +34,7 @@ CACHE_SCHEMA_VERSION = 1
 
 def _encode(value: Any) -> str:
     """Canonical, order-stable text encoding of plain data."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_encode(v) for v in value) + "]"
@@ -66,14 +64,14 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     )
 
 
-def device_fingerprint(device: Device, day: Optional[int] = None) -> str:
-    """Digest of the device identity plus one day's calibration content."""
-    resolved = device.day if day is None else day
-    calibration = device.calibration(resolved)
+def device_digest(device: Device) -> str:
+    """Digest of the device identity plus its own day's calibration
+    (memoized per device value as :attr:`Device.fingerprint`)."""
+    calibration = device.calibration()
     return digest(
         "device",
         device.name,
-        resolved,
+        device.day,
         sorted(
             (tuple(sorted(edge)), rate)
             for edge, rate in calibration.two_qubit_error.items()
@@ -81,6 +79,11 @@ def device_fingerprint(device: Device, day: Optional[int] = None) -> str:
         sorted(calibration.single_qubit_error.items()),
         sorted(calibration.readout_error.items()),
     )
+
+
+def device_fingerprint(device: Device, day: Optional[int] = None) -> str:
+    """Digest of the device identity plus one day's calibration content."""
+    return device.on_day(day).fingerprint
 
 
 def compile_key(

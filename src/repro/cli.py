@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional
 from repro.cache import open_cache
 from repro.compiler import OPT_PRESETS, CompileOptions, OptimizationLevel
 from repro.contracts.mode import ContractMode
+from repro.devices.device import check_day
 from repro.smt import MAPPER_METHODS
 
 _EXPERIMENTS = (
@@ -59,6 +60,13 @@ def _parse_level(text: str) -> OptimizationLevel:
 
     try:
         return resolve_level(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_day(text: str) -> int:
+    try:
+        return check_day(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -694,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="optimization level (N, 1QOpt, 1QOptC, 1QOptCN)",
         )
         p.add_argument(
-            "--day", type=int, default=0, help="calibration day (default 0)"
+            "--day", type=_parse_day, default=0,
+            help="calibration day (default 0)",
         )
 
     compile_parser = sub.add_parser(
@@ -746,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated suite benchmark names (default: all 12)",
     )
     sweep_parser.add_argument(
-        "--day", type=int, default=0, help="calibration day (default 0)"
+        "--day", type=_parse_day, default=0, help="calibration day (default 0)"
     )
     sweep_parser.add_argument(
         "--fault-samples", type=int, default=100,
@@ -921,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
              "levels)",
     )
     check_parser.add_argument(
-        "--day", type=int, default=0, help="calibration day (default 0)"
+        "--day", type=_parse_day, default=0, help="calibration day (default 0)"
     )
     _add_mapper_arg(check_parser)
     _add_opt_arg(check_parser)

@@ -13,12 +13,18 @@ qubits, narrow (1-3 %) for trapped ions (paper section 3.3).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
 
 Edge = FrozenSet[int]
+
+#: Snapshots each :class:`CalibrationModel` memoizes, oldest dropped
+#: first: a 120-day calibration window fits, and a long-lived service
+#: that sees a fresh day per cold request stays bounded.
+SNAPSHOT_MEMO_DAYS = 128
 
 #: Error rates are probabilities; clamp away from the degenerate ends.
 _MIN_ERROR = 1e-5
@@ -94,22 +100,19 @@ class Calibration:
         corrupt feed usually corrupts many rates, and one precise error
         beats an iterated whack-a-mole.
         """
-        problems: List[str] = []
-        for edge, rate in sorted(
-            self.two_qubit_error.items(), key=lambda item: sorted(item[0])
-        ):
-            label = f"2Q error on edge {tuple(sorted(edge))}"
-            problem = _rate_problem(label, rate)
-            if problem:
-                problems.append(problem)
-        for qubit, rate in sorted(self.single_qubit_error.items()):
-            problem = _rate_problem(f"1Q error on qubit {qubit}", rate)
-            if problem:
-                problems.append(problem)
-        for qubit, rate in sorted(self.readout_error.items()):
-            problem = _rate_problem(f"readout error on qubit {qubit}", rate)
-            if problem:
-                problems.append(problem)
+        rates = [
+            (f"2Q error on edge {tuple(sorted(edge))}", rate)
+            for edge, rate in sorted(
+                self.two_qubit_error.items(), key=lambda item: sorted(item[0])
+            )
+        ]
+        for kind, table in (("1Q", self.single_qubit_error),
+                            ("readout", self.readout_error)):
+            rates += [
+                (f"{kind} error on qubit {qubit}", rate)
+                for qubit, rate in sorted(table.items())
+            ]
+        problems = [p for p in (_rate_problem(*r) for r in rates) if p]
         if problems:
             raise CalibrationError(
                 f"calibration for day {self.day} is invalid: "
@@ -217,6 +220,7 @@ class CalibrationModel:
             q: _clamp(self._lognormal(rng, self.mean_readout_error))
             for q in range(self.num_qubits)
         }
+        self._snapshots: "OrderedDict[int, Calibration]" = OrderedDict()
 
     def _lognormal(self, rng: np.random.Generator, mean: float) -> float:
         sigma = self.spatial_sigma
@@ -228,8 +232,17 @@ class CalibrationModel:
         """The calibration for a given day.
 
         Deterministic in (seed, day): re-reading the same day gives the
-        same data, as a cached vendor feed would.
+        same (shared, read-only) snapshot, as a cached vendor feed
+        would.  Racing first reads may each draw it; the draws are equal.
         """
+        cached = self._snapshots.get(day)
+        if cached is None:
+            cached = self._snapshots[day] = self._draw(day)
+            if len(self._snapshots) > SNAPSHOT_MEMO_DAYS:
+                self._snapshots.popitem(last=False)
+        return cached
+
+    def _draw(self, day: int) -> Calibration:
         rng = np.random.default_rng((self.seed + 1) * 1_000_003 + day)
 
         def drift(base: float) -> float:

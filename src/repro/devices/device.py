@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Optional
 
 from repro.devices.calibration import Calibration, CalibrationModel
 from repro.devices.gatesets import GateSet, VendorFamily
 from repro.devices.topology import Topology
 
 
-@dataclass
+def check_day(day: int) -> int:
+    """``day`` if it is an ``int`` >= 0, else ValueError.  Every day a
+    device is viewed or read on passes here, so the API, CLI and service
+    fail alike; ``True`` would share day 1's snapshot, not its keys."""
+    if isinstance(day, bool) or not isinstance(day, int) or day < 0:
+        raise ValueError(f"day must be a non-negative integer, got {day!r}")
+    return day
+
+
+@dataclass(frozen=True)
 class Device:
-    """A QC machine as seen by the compiler (paper Figure 4's inputs).
+    """A QC machine on one calibration day (paper Figure 4's inputs).
+
+    Frozen: :meth:`on_day` views share the machine's calibration model
+    (which memoizes each day's snapshot) and each view computes its
+    cache :attr:`fingerprint` once.
 
     Attributes:
         name: machine name, e.g. ``"IBM Q14 Melbourne"``.
@@ -22,7 +36,7 @@ class Device:
         coherence_time_us: representative coherence time (paper Figure 1).
         gate_time_us: rough duration of one 2Q gate, for the optional
             coherence-limit factor in the simulator.
-        day: which calibration day the device currently reports.
+        day: which calibration day the device reports.
     """
 
     name: str
@@ -32,9 +46,9 @@ class Device:
     coherence_time_us: float
     gate_time_us: float = 0.3
     day: int = 0
-    _calibration_cache: Dict[int, Calibration] = field(
-        default_factory=dict, repr=False
-    )
+
+    def __post_init__(self) -> None:
+        check_day(self.day)
 
     @property
     def num_qubits(self) -> int:
@@ -52,27 +66,23 @@ class Device:
         return "superconducting"
 
     def calibration(self, day: Optional[int] = None) -> Calibration:
-        """The calibration snapshot for ``day`` (default: current day)."""
-        if day is None:
-            day = self.day
-        if day not in self._calibration_cache:
-            self._calibration_cache[day] = self.calibration_model.snapshot(day)
-        return self._calibration_cache[day]
-
-    def on_day(self, day: int) -> "Device":
-        """A view of the same device as calibrated on another day."""
-        return Device(
-            name=self.name,
-            gate_set=self.gate_set,
-            topology=self.topology,
-            calibration_model=self.calibration_model,
-            coherence_time_us=self.coherence_time_us,
-            gate_time_us=self.gate_time_us,
-            day=day,
+        """The calibration snapshot for ``day`` (default: this view's day)."""
+        return self.calibration_model.snapshot(
+            self.day if day is None else check_day(day)
         )
 
-    def coupled_pairs(self) -> List[FrozenSet[int]]:
-        return self.topology.edges()
+    def on_day(self, day: Optional[int]) -> "Device":
+        """This machine as calibrated on ``day`` (None: this view)."""
+        if day is None or check_day(day) == self.day:
+            return self
+        return replace(self, day=day)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Cache-key digest of this machine on its own day (computed once)."""
+        from repro.cache.keys import device_digest  # imports this module
+
+        return device_digest(self)
 
     def describe(self) -> str:
         """One-line summary in the style of paper Figure 1."""

@@ -11,7 +11,8 @@ the study.  Per-gate calibration detail is synthesized by
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional
+from functools import lru_cache, wraps
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.devices.calibration import Calibration, CalibrationModel
 from repro.devices.device import Device
@@ -35,78 +36,89 @@ class StaticCalibrationModel:
     def snapshot(self, day: int = 0) -> Calibration:
         return replace(self._calibration, day=day)
 
-    def series(self, days: int) -> List[Calibration]:
-        return [self.snapshot(day) for day in range(days)]
+
+#: ``(spatial_sigma, drift_sigma, drift_reversion)`` of a
+#: :class:`CalibrationModel`.  Superconducting: a wide log-normal spread
+#: that reproduces the up-to-9x variation across qubits and calibration
+#: days reported in paper section 3.3.
+_SUPERCONDUCTING_SPREAD = (0.34, 0.12, 0.35)
+
+#: Ion qubits are identical and defect-free, but laser-control
+#: difficulty and motional-mode drift move 2Q error rates by 1-3
+#: percentage points around the ~1% mean (paper sections 3.3, 6.3) —
+#: small in absolute terms, large relative to the mean, which is why
+#: noise-adaptivity still pays on this machine (Figure 11e, f).
+_TRAPPED_ION_SPREAD = (0.45, 0.10, 0.5)
 
 
-def _superconducting_model(
+def _machine(
+    name: str,
+    family: VendorFamily,
     topology: Topology,
-    mean_2q: float,
-    mean_1q: float,
-    mean_ro: float,
+    mean_errors: Tuple[float, float, float],
     seed: int,
-) -> CalibrationModel:
-    # Wide log-normal spread: reproduces the up-to-9x variation across
-    # qubits and calibration days reported in paper section 3.3.
-    return CalibrationModel(
-        edges=topology.edges(),
-        num_qubits=topology.num_qubits,
-        mean_two_qubit_error=mean_2q,
-        mean_single_qubit_error=mean_1q,
-        mean_readout_error=mean_ro,
-        spatial_sigma=0.34,
-        drift_sigma=0.12,
-        drift_reversion=0.35,
-        seed=seed,
+    coherence_time_us: float,
+    gate_time_us: float = 0.3,
+    day: int = 0,
+    spread: Tuple[float, float, float] = _SUPERCONDUCTING_SPREAD,
+) -> Device:
+    """A device whose calibration draws around ``mean_errors`` (2Q, 1Q
+    and readout averages, paper Figure 1) with the given ``spread``."""
+    mean_2q, mean_1q, mean_ro = mean_errors
+    spatial_sigma, drift_sigma, drift_reversion = spread
+    return Device(
+        name=name,
+        gate_set=GATESET_BY_FAMILY[family],
+        topology=topology,
+        calibration_model=CalibrationModel(
+            edges=topology.edges(),
+            num_qubits=topology.num_qubits,
+            mean_two_qubit_error=mean_2q,
+            mean_single_qubit_error=mean_1q,
+            mean_readout_error=mean_ro,
+            spatial_sigma=spatial_sigma,
+            drift_sigma=drift_sigma,
+            drift_reversion=drift_reversion,
+            seed=seed,
+        ),
+        coherence_time_us=coherence_time_us,
+        gate_time_us=gate_time_us,
+        day=day,
     )
 
 
-def _trapped_ion_model(
-    topology: Topology,
-    mean_2q: float,
-    mean_1q: float,
-    mean_ro: float,
-    seed: int,
-) -> CalibrationModel:
-    # Ion qubits are identical and defect-free, but laser-control
-    # difficulty and motional-mode drift move 2Q error rates by 1-3
-    # percentage points around the ~1% mean (paper sections 3.3, 6.3) —
-    # small in absolute terms, large relative to the mean, which is why
-    # noise-adaptivity still pays on this machine (Figure 11e, f).
-    return CalibrationModel(
-        edges=topology.edges(),
-        num_qubits=topology.num_qubits,
-        mean_two_qubit_error=mean_2q,
-        mean_single_qubit_error=mean_1q,
-        mean_readout_error=mean_ro,
-        spatial_sigma=0.45,
-        drift_sigma=0.10,
-        drift_reversion=0.5,
-        seed=seed,
-    )
+def _study_machine(build: Callable[[], Device]) -> Callable[..., Device]:
+    """Build a study machine once per process; calls return day views.
+
+    The wrapper keeps the public ``(day=0)`` signature and returns
+    :meth:`Device.on_day` views of the one frozen day-0 build.
+    """
+    machine = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def on_day(day: int = 0) -> Device:
+        return machine().on_day(day)
+
+    del on_day.__wrapped__  # introspection shows (day=0), not build's ()
+    return on_day
 
 
-def ibmq5_tenerife(day: int = 0) -> Device:
+@_study_machine
+def ibmq5_tenerife() -> Device:
     """IBM Q5 Tenerife: 5 qubits, 6 directed couplings, triangle + tail."""
     topology = Topology(
         5,
         [(1, 0), (2, 0), (2, 1), (3, 2), (3, 4), (4, 2)],
         directed=True,
     )
-    return Device(
-        name="IBM Q5 Tenerife",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0476, 0.002, 0.0621, seed=5
-        ),
-        coherence_time_us=40.0,
-        gate_time_us=0.3,
-        day=day,
+    return _machine(
+        "IBM Q5 Tenerife", VendorFamily.IBM, topology, (0.0476, 0.002, 0.0621),
+        seed=5, coherence_time_us=40.0,
     )
 
 
-def ibmq14_melbourne(day: int = 0) -> Device:
+@_study_machine
+def ibmq14_melbourne() -> Device:
     """IBM Q14 Melbourne: 14 qubits, 18 directed couplings, 2x7 ladder."""
     topology = Topology(
         14,
@@ -117,20 +129,14 @@ def ibmq14_melbourne(day: int = 0) -> Device:
         ],
         directed=True,
     )
-    return Device(
-        name="IBM Q14 Melbourne",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0795, 0.0119, 0.0909, seed=14
-        ),
-        coherence_time_us=30.0,
-        gate_time_us=0.3,
-        day=day,
+    return _machine(
+        "IBM Q14 Melbourne", VendorFamily.IBM, topology,
+        (0.0795, 0.0119, 0.0909), seed=14, coherence_time_us=30.0,
     )
 
 
-def ibmq16_rueschlikon(day: int = 0) -> Device:
+@_study_machine
+def ibmq16_rueschlikon() -> Device:
     """IBM Q16 Rueschlikon: 16 qubits, 22 directed couplings, 2x8 ladder."""
     topology = Topology(
         16,
@@ -142,32 +148,20 @@ def ibmq16_rueschlikon(day: int = 0) -> Device:
         ],
         directed=True,
     )
-    return Device(
-        name="IBM Q16 Rueschlikon",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0714, 0.0022, 0.0415, seed=16
-        ),
-        coherence_time_us=40.0,
-        gate_time_us=0.3,
-        day=day,
+    return _machine(
+        "IBM Q16 Rueschlikon", VendorFamily.IBM, topology,
+        (0.0714, 0.0022, 0.0415), seed=16, coherence_time_us=40.0,
     )
 
 
-def rigetti_agave(day: int = 0) -> Device:
+@_study_machine
+def rigetti_agave() -> Device:
     """Rigetti Agave: 8-qubit ring of which 4 qubits (a line) were usable."""
     topology = Topology.line(4)
-    return Device(
-        name="Rigetti Agave",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.RIGETTI],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.108, 0.0368, 0.1637, seed=81
-        ),
-        coherence_time_us=15.0,
+    return _machine(
+        "Rigetti Agave", VendorFamily.RIGETTI, topology,
+        (0.108, 0.0368, 0.1637), seed=81, coherence_time_us=15.0,
         gate_time_us=0.2,
-        day=day,
     )
 
 
@@ -179,56 +173,41 @@ def _aspen_topology() -> Topology:
     return Topology(16, edges)
 
 
-def rigetti_aspen1(day: int = 0) -> Device:
+@_study_machine
+def rigetti_aspen1() -> Device:
     """Rigetti Aspen-1: 16 qubits, 18 couplings."""
     topology = _aspen_topology()
-    return Device(
-        name="Rigetti Aspen1",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.RIGETTI],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0892, 0.0343, 0.0556, seed=82
-        ),
-        coherence_time_us=20.0,
+    return _machine(
+        "Rigetti Aspen1", VendorFamily.RIGETTI, topology,
+        (0.0892, 0.0343, 0.0556), seed=82, coherence_time_us=20.0,
         gate_time_us=0.2,
-        day=day,
     )
 
 
-def rigetti_aspen3(day: int = 0) -> Device:
+@_study_machine
+def rigetti_aspen3() -> Device:
     """Rigetti Aspen-3: same lattice as Aspen-1, better gates."""
     topology = _aspen_topology()
-    return Device(
-        name="Rigetti Aspen3",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.RIGETTI],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0537, 0.0379, 0.0665, seed=83
-        ),
-        coherence_time_us=20.0,
+    return _machine(
+        "Rigetti Aspen3", VendorFamily.RIGETTI, topology,
+        (0.0537, 0.0379, 0.0665), seed=83, coherence_time_us=20.0,
         gate_time_us=0.2,
-        day=day,
     )
 
 
-def umd_trapped_ion(day: int = 0) -> Device:
+@_study_machine
+def umd_trapped_ion() -> Device:
     """UMD trapped ion (UMDTI): 5 fully connected ions."""
     topology = Topology.full(5)
-    return Device(
-        name="UMD Trapped Ion",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.UMDTI],
-        topology=topology,
-        calibration_model=_trapped_ion_model(
-            topology, 0.010, 0.002, 0.006, seed=135
-        ),
-        coherence_time_us=1.5e6,
-        gate_time_us=250.0,
-        day=day,
+    return _machine(
+        "UMD Trapped Ion", VendorFamily.UMDTI, topology, (0.010, 0.002, 0.006),
+        seed=135, coherence_time_us=1.5e6, gate_time_us=250.0,
+        spread=_TRAPPED_ION_SPREAD,
     )
 
 
 def all_devices(day: int = 0) -> List[Device]:
-    """The seven machines of the study, in paper Figure 1 order."""
+    """The seven study machines' ``day`` views, in paper Figure 1 order."""
     return [
         ibmq5_tenerife(day),
         ibmq14_melbourne(day),
@@ -241,12 +220,18 @@ def all_devices(day: int = 0) -> List[Device]:
 
 
 def device_by_name(name: str, day: int = 0) -> Device:
-    """Look a study device up by (case-insensitive, partial) name."""
-    devices = all_devices(day)
+    """Look a study device up by (case-insensitive, partial) name.
+
+    Returns the ``day`` view of the process's one build of that machine:
+    lookups construct nothing but the view, and every view of a machine
+    shares its memoized calibration snapshots.  Raises ``KeyError``
+    listing the known names, or ``ValueError`` for a bad ``day``.
+    """
+    devices = all_devices()
     wanted = name.lower().replace(" ", "")
     for device in devices:
         if wanted in device.name.lower().replace(" ", ""):
-            return device
+            return device.on_day(day)
     known = ", ".join(d.name for d in devices)
     raise KeyError(f"unknown device {name!r}; known devices: {known}")
 
@@ -299,16 +284,9 @@ def synthetic_grid(
     topology = Topology.grid(rows, cols)
     if seed is None:
         seed = topology.num_qubits
-    return Device(
-        name=f"Synthetic Grid {rows}x{cols}",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0714, 0.0022, 0.0415, seed=seed
-        ),
-        coherence_time_us=40.0,
-        gate_time_us=0.3,
-        day=day,
+    return _machine(
+        f"Synthetic Grid {rows}x{cols}", VendorFamily.IBM, topology,
+        (0.0714, 0.0022, 0.0415), seed=seed, coherence_time_us=40.0, day=day,
     )
 
 
@@ -318,15 +296,6 @@ def google_bristlecone_72(day: int = 0, seed: int = 72) -> Device:
     The paper assigned error rates by sampling IBM calibration history;
     we give the grid an IBM-style calibration model.
     """
-    topology = Topology.grid(6, 12)
-    return Device(
-        name="Google Bristlecone 72",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0714, 0.0022, 0.0415, seed=seed
-        ),
-        coherence_time_us=40.0,
-        gate_time_us=0.3,
-        day=day,
+    return replace(
+        synthetic_grid(6, 12, day=day, seed=seed), name="Google Bristlecone 72"
     )

@@ -11,7 +11,7 @@ out over a process pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines import QiskitLikeCompiler, QuilLikeCompiler
@@ -189,6 +189,27 @@ def compile_with_cache(
     ``compile_time_s``, so warm serial and parallel runs of the same
     grid produce byte-identical measurements.
     """
+    device = device.on_day(day)
+    key = None
+    if cache is not None and cache.enabled:
+        key = artifact_key(circuit, device, compiler, day, seed, options)
+    return compile_keyed(
+        key, circuit, device, compiler, day, seed, cache, options
+    )
+
+
+def compile_keyed(
+    key: Optional[str],
+    circuit: Circuit,
+    device: Device,
+    compiler: CompilerName,
+    day: Optional[int] = None,
+    seed: int = 0,
+    cache: Optional[Cache] = None,
+    options: CompileOptions = DEFAULT_OPTIONS,
+) -> Tuple[CompiledProgram, Optional[bool]]:
+    """:func:`compile_with_cache` under the cell's precomputed
+    :func:`artifact_key`, for callers that also report the key."""
     if cache is None or not cache.enabled:
         return (
             compile_with(
@@ -197,9 +218,6 @@ def compile_with_cache(
             ),
             None,
         )
-    key = artifact_key(
-        circuit, device, compiler, day=day, seed=seed, options=options
-    )
     payload = cache.get(key)
     if payload is not None:
         return CompiledProgram.from_payload(payload, device), True
@@ -222,21 +240,15 @@ def _success_with_cache(
     cache: Optional[Cache],
 ) -> SuccessEstimate:
     """Monte-Carlo success, memoized (the estimator is seed-deterministic)."""
-    if cache is None or not cache.enabled:
-        return monte_carlo_success_rate(
-            program.circuit,
-            device,
-            correct,
-            day=day,
-            fault_samples=fault_samples,
-            seed=mc_seed,
+    device = device.on_day(day)
+    key = None
+    if cache is not None and cache.enabled:
+        key = success_key(
+            program.circuit, device, correct, day, fault_samples, mc_seed
         )
-    key = success_key(
-        program.circuit, device, correct, day, fault_samples, mc_seed
-    )
-    payload = cache.get(key)
-    if payload is not None:
-        return SuccessEstimate(**payload)
+        payload = cache.get(key)
+        if payload is not None:
+            return SuccessEstimate(**payload)
     estimate = monte_carlo_success_rate(
         program.circuit,
         device,
@@ -245,16 +257,8 @@ def _success_with_cache(
         fault_samples=fault_samples,
         seed=mc_seed,
     )
-    cache.put(
-        key,
-        {
-            "success_rate": estimate.success_rate,
-            "ideal_rate": estimate.ideal_rate,
-            "no_fault_probability": estimate.no_fault_probability,
-            "esp": estimate.esp,
-            "fault_samples": estimate.fault_samples,
-        },
-    )
+    if key is not None:
+        cache.put(key, asdict(estimate))
     return estimate
 
 
@@ -278,6 +282,7 @@ def measure(
     instead of paying for a second build.
     """
     circuit, correct = built if built is not None else benchmark.build()
+    device = device.on_day(day)
     with obs_span(
         "measure",
         benchmark=benchmark.name,

@@ -10,15 +10,12 @@ independent of gate count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.compiler import OptimizationLevel, TriQCompiler
-from repro.devices import google_bristlecone_72
+from repro.devices import google_bristlecone_72, synthetic_grid
 from repro.devices.device import Device
-from repro.devices.topology import Topology
-from repro.devices.library import _superconducting_model
-from repro.devices.gatesets import GATESET_BY_FAMILY, VendorFamily
 from repro.experiments.tables import format_table
 from repro.ir.dag import interaction_pairs
 from repro.ir.decompose import decompose_to_basis
@@ -37,16 +34,8 @@ class ScalingPoint:
 
 
 def _grid_device(rows: int, cols: int, seed: int = 7) -> Device:
-    topology = Topology.grid(rows, cols)
-    return Device(
-        name=f"grid {rows}x{cols}",
-        gate_set=GATESET_BY_FAMILY[VendorFamily.IBM],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.0714, 0.0022, 0.0415, seed=seed
-        ),
-        coherence_time_us=40.0,
-    )
+    grid = synthetic_grid(rows, cols, seed=seed)
+    return replace(grid, name=f"grid {rows}x{cols}")
 
 
 def run(

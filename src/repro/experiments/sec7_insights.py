@@ -33,7 +33,7 @@ from repro.devices import (
     umd_trapped_ion,
 )
 from repro.devices.gatesets import GATESET_BY_FAMILY, VendorFamily
-from repro.devices.library import _superconducting_model
+from repro.devices.library import _machine
 from repro.devices.device import Device
 from repro.experiments.tables import format_table
 from repro.ir.decompose import decompose_to_basis
@@ -54,13 +54,8 @@ class Sec7Result:
 
 
 def _topology_device(topology: Topology, name: str) -> Device:
-    return Device(
-        name=name,
-        gate_set=GATESET_BY_FAMILY[VendorFamily.RIGETTI],
-        topology=topology,
-        calibration_model=_superconducting_model(
-            topology, 0.05, 0.003, 0.04, seed=17
-        ),
+    return _machine(
+        name, VendorFamily.RIGETTI, topology, (0.05, 0.003, 0.04), seed=17,
         coherence_time_us=20.0,
     )
 

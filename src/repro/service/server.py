@@ -584,8 +584,9 @@ class ReproService:
                 return params, f"compile:{key}"
             samples = params.get("fault_samples", 100)
             return params, f"run:{key}:fs{samples}"
-        day = params.get("day", 0)
-        device_by_name(str(params["device"]), day=day)
+        device = device_by_name(str(params["device"]), params.get("day", 0))
+        for day in params.get("days") or []:
+            device.on_day(day)  # a bad day is a 400 here, not a failed job
         api.resolve_compilers(params.get("compilers", ["1QOptCN"]))
         for name in params.get("benchmarks") or []:
             benchmark_by_name(str(name))

@@ -13,7 +13,7 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -85,14 +85,27 @@ def make_device(
     single_qubit_error: float = 0.002,
     readout_error: float = 0.03,
     name: str = "test device",
+    edge_errors: Optional[Mapping[Tuple[int, int], float]] = None,
+    readout_errors: Optional[Mapping[int, float]] = None,
 ) -> Device:
-    """A device with uniform, hand-set error rates."""
+    """A device with uniform, hand-set error rates.
+
+    ``edge_errors`` (``{(a, b): rate}``) and ``readout_errors``
+    (``{qubit: rate}``) override single gates on top of the uniform
+    rates, so tests build the device they mean instead of editing a
+    calibration snapshot that other readers share.
+    """
+    two_qubit = {e: two_qubit_error for e in topology.edges()}
+    for (a, b), rate in (edge_errors or {}).items():
+        two_qubit[frozenset((a, b))] = rate
+    readout = {q: readout_error for q in range(topology.num_qubits)}
+    readout.update(readout_errors or {})
     calibration = Calibration(
-        two_qubit_error={e: two_qubit_error for e in topology.edges()},
+        two_qubit_error=two_qubit,
         single_qubit_error={
             q: single_qubit_error for q in range(topology.num_qubits)
         },
-        readout_error={q: readout_error for q in range(topology.num_qubits)},
+        readout_error=readout,
     )
     return Device(
         name=name,

@@ -22,6 +22,27 @@ class TestParsing:
                 ["compile", "-b", "BV4", "-d", "umd", "-l", "turbo"]
             )
 
+    @pytest.mark.parametrize("command", ["compile", "run", "sweep", "check"])
+    def test_bad_day_is_a_usage_error_naming_day(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "-b", "BV4", "-d", "umd", "--day", "-1"]
+            )
+        assert excinfo.value.code == 2
+        assert "day must be a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+
+    def test_bad_days_list_fails_like_api(self, capsys):
+        code = main([
+            "sweep", "-d", "tenerife", "-l", "N", "-b", "BV4",
+            "--days", "0,-1", "--no-success", "--no-cache",
+        ])
+        assert code == 2
+        assert "day must be a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+
     def test_benchmark_and_scaffold_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -61,9 +61,8 @@ class TestSmtMapping:
         assert set(mapping.placement) != {2, 6}
 
     def test_respects_readout_terms(self):
-        device = make_device(Topology.full(3))
         # Qubit 1 has catastrophic readout.
-        device.calibration().readout_error[1] = 0.6
+        device = make_device(Topology.full(3), readout_errors={1: 0.6})
         reliability = compute_reliability(device)
         circuit = Circuit(2).cx(0, 1).measure_all()
         mapping = smt_mapping(circuit, device, reliability)

@@ -89,9 +89,9 @@ class TestOptimizationOrdering:
     def test_noise_aware_avoids_bad_edges(self):
         # Device with one great edge and otherwise bad ones: the
         # noise-aware mapper must use the great edge for a 2-qubit job.
-        device = make_device(Topology.line(4), two_qubit_error=0.3)
-        cal = device.calibration()
-        cal.two_qubit_error[frozenset((2, 3))] = 0.02
+        device = make_device(
+            Topology.line(4), two_qubit_error=0.3, edge_errors={(2, 3): 0.02}
+        )
         circuit, _ = bernstein_vazirani(2)
         program = compile_circuit(
             circuit, device, level=OptimizationLevel.OPT_1QCN

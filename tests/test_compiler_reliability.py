@@ -96,9 +96,7 @@ class TestNoiseAwareness:
     def test_noise_aware_prefers_reliable_detour(self):
         # Edge (a, b) is terrible; the 3-hop detour wins.
         topo = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        device = make_device(topo)
-        cal = device.calibration()
-        cal.two_qubit_error[frozenset((0, 3))] = 0.74
+        device = make_device(topo, edge_errors={(0, 3): 0.74})
         reliability = compute_reliability(device)
         # Path 0-1-2 swaps then gate 2-3 beats direct gate 0-3.
         direct = 1 - 0.74

@@ -90,8 +90,7 @@ class TestReliabilityAwareRouting:
     def test_takes_reliable_detour(self):
         # Square with one terrible edge: routing must go the long way.
         topo = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        device = make_device(topo)
-        device.calibration().two_qubit_error[frozenset((0, 3))] = 0.74
+        device = make_device(topo, edge_errors={(0, 3): 0.74})
         circuit = Circuit(4).cx(0, 3)
         decomposed = decompose_to_basis(circuit)
         reliability = compute_reliability(device)

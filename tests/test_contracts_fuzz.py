@@ -4,8 +4,6 @@ shrinking, reproducer artifacts."""
 import json
 import random
 
-import pytest
-
 from repro.compiler import CompileOptions
 from repro.contracts import CONTRACT_FAULT_ENV
 from repro.contracts.fuzz import (

@@ -618,6 +618,22 @@ class TestDeadlines:
             )
             assert status == 400 and "deadline_s" in payload["error"]
 
+    def test_malformed_day_is_400(self, harness):
+        """A bool, non-int or negative day is refused at admission with a
+        message naming ``day`` — ``true`` must not alias day 1."""
+        for bad in (True, "x", 2.5, -1):
+            for path, body in (
+                ("/v1/compile", {"benchmark": "HS2", "day": bad}),
+                ("/v1/run", {"benchmark": "HS2", "day": bad}),
+                ("/v1/sweep", {"benchmarks": ["HS2"], "day": bad}),
+                ("/v1/sweep", {"benchmarks": ["HS2"], "days": [0, bad]}),
+            ):
+                status, payload = harness.request(
+                    "POST", path, {"device": "tenerife", **body}
+                )
+                assert status == 400, (path, bad, payload)
+                assert "day" in payload["error"], (path, bad, payload)
+
     def test_admission_rejects_unmeetable_deadline(self, tmp_path):
         """A rate-limited tenant with a full burst of queued work ahead
         provably cannot start a 1s-deadline job for ~10s: reject at

@@ -1,6 +1,7 @@
 """Tests for the optional coherence-limit model."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -55,9 +56,11 @@ class TestCoherenceInEstimators:
     def test_mc_mixes_toward_uniform(self):
         # On an otherwise noiseless device with terrible coherence the
         # success rate approaches the survival-weighted mix.
-        device = make_noiseless_device(Topology.line(2))
-        device.coherence_time_us = 1.0
-        device.gate_time_us = 1.0
+        device = replace(
+            make_noiseless_device(Topology.line(2)),
+            coherence_time_us=1.0,
+            gate_time_us=1.0,
+        )
         circuit = Circuit(2).x(0).cx(0, 1).measure_all()
         estimate = monte_carlo_success_rate(
             circuit, device, "11", fault_samples=10, include_coherence=True
@@ -67,9 +70,11 @@ class TestCoherenceInEstimators:
         assert estimate.success_rate == pytest.approx(expected, abs=1e-3)
 
     def test_default_excludes_coherence(self):
-        device = make_noiseless_device(Topology.line(2))
-        device.coherence_time_us = 1.0
-        device.gate_time_us = 1.0
+        device = replace(
+            make_noiseless_device(Topology.line(2)),
+            coherence_time_us=1.0,
+            gate_time_us=1.0,
+        )
         circuit = Circuit(2).x(0).cx(0, 1).measure_all()
         estimate = monte_carlo_success_rate(
             circuit, device, "11", fault_samples=10
