@@ -32,12 +32,20 @@ from repro.ir.circuit import Circuit
 CACHE_SCHEMA_VERSION = 1
 
 
+#: Exact types whose values encode as their ``repr``; a sequence
+#: renders such items inline instead of recursing (subclasses, such as
+#: ``np.float64``, still go through :func:`_encode`).
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def _encode(value: Any) -> str:
     """Canonical, order-stable text encoding of plain data."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in value) + "]"
+        return "[" + ",".join([
+            repr(v) if type(v) in _SCALARS else _encode(v) for v in value
+        ]) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(_encode(v) for v in value)) + "}"
     if isinstance(value, Mapping):
@@ -53,7 +61,10 @@ def digest(*parts: Any) -> str:
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
-    """Digest of the circuit *structure* (name excluded on purpose)."""
+    """Digest of the circuit *structure* (name excluded on purpose).
+
+    The keys below read it through :attr:`Circuit.fingerprint`, which
+    computes it once per circuit content."""
     return digest(
         "circuit",
         circuit.num_qubits,
@@ -96,7 +107,7 @@ def compile_key(
     """Key of one compiled-program artifact."""
     return "cp-" + digest(
         "compile",
-        circuit_fingerprint(circuit),
+        circuit.fingerprint,
         device_fingerprint(device, day),
         compiler_label,
         dict(options or {}),
@@ -129,7 +140,7 @@ def warm_hint_key(
     """
     return "wh-" + digest(
         "warm-hint",
-        circuit_fingerprint(circuit),
+        circuit.fingerprint,
         device.name,
         level_label,
     )
@@ -150,7 +161,7 @@ def success_key(
     """
     return "sr-" + digest(
         "success",
-        circuit_fingerprint(circuit),
+        circuit.fingerprint,
         device_fingerprint(device, day),
         correct,
         fault_samples,

@@ -1079,11 +1079,36 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _unknown_name(args: argparse.Namespace) -> Optional[str]:
+    """The lookup error of the first device or benchmark name the
+    command line gives that names no study device or suite benchmark."""
+    from repro.devices import device_by_name
+    from repro.programs import benchmark_by_name
+
+    for attr, lookup in (
+        ("device", device_by_name), ("devices", device_by_name),
+        ("benchmark", benchmark_by_name), ("benchmarks", benchmark_by_name),
+    ):
+        value = getattr(args, attr, None)
+        names = (value or "").split(",") if attr.endswith("s") else [value]
+        for name in names:
+            if name and name.strip():
+                try:
+                    lookup(name.strip())
+                except KeyError as exc:
+                    return exc.args[0]
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.contracts import ContractError
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    unknown = _unknown_name(args)
+    if unknown is not None:
+        print(f"repro {args.command}: {unknown}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ContractError as exc:

@@ -107,9 +107,10 @@ def _bench_success(fault_samples: int, repeats: int) -> Dict[str, float]:
         ),
         repeats,
     )
-    if ref_est.success_rate != vec_est.success_rate:
+    if ref_est != vec_est:
         raise AssertionError(
-            "success kernels disagree: batched estimate != reference estimate"
+            "success kernels disagree: batched estimate "
+            f"{vec_est} != reference estimate {ref_est}"
         )
     return {
         "reference_s": ref_s,

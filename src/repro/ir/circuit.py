@@ -23,6 +23,11 @@ class Circuit:
         circ = Circuit(2, name="bell").h(0).cx(0, 1).measure_all()
     """
 
+    #: ``(num_qubits, instruction count, digest)`` of the last
+    #: :attr:`fingerprint`.  Instructions are append-only, so the same
+    #: counts mean the same content; never pickled or copied.
+    _fingerprint: Optional[Tuple[int, int, str]] = None
+
     def __init__(
         self,
         num_qubits: int,
@@ -67,6 +72,23 @@ class Circuit:
                 )
         self._instructions.append(inst)
         return self
+
+    @property
+    def fingerprint(self) -> str:
+        """Cache-key digest of the circuit structure, computed once per
+        content (see :func:`repro.cache.keys.circuit_fingerprint`)."""
+        shape = (self.num_qubits, len(self._instructions))
+        memo = self._fingerprint
+        if memo is None or memo[:2] != shape:
+            from repro.cache.keys import circuit_fingerprint  # imports this module
+
+            memo = self._fingerprint = shape + (circuit_fingerprint(self),)
+        return memo[2]
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     def add(
         self,

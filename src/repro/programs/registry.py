@@ -62,4 +62,4 @@ def benchmark_by_name(name: str) -> Benchmark:
         if benchmark.name.lower() == name.lower():
             return benchmark
     known = ", ".join(b.name for b in standard_suite())
-    raise KeyError(f"unknown benchmark {name!r}; known: {known}")
+    raise KeyError(f"unknown benchmark {name!r}; known benchmarks: {known}")

@@ -40,17 +40,19 @@ times the same transposed ``(2**k, -1)`` copy of the batch, through
 are memoised per ``(qubits, num_qubits)`` — so BLAS sees identical
 operands and rounds identically.
 
-Fault injections are grouped per circuit position by instruction, and
-each group is applied to all its rows at once.  A Pauli injection is a
-component swap and a phase multiplication on a ``(batch, 2**q, 2,
-2**(n-q-1))`` view of the rows (:func:`_inject_pauli`): X swaps the two
-halves of qubit ``q``; Z negates half 1; Y swaps them and multiplies by
--i and +i.  Every product there is by 0, ±1 or ±i and every sum adds an
-exact zero, so nothing rounds: the amplitudes equal the scalar
-tensordot's bit for bit, except that an exact zero may carry the other
-sign — which no ``|amplitude|**2``, and so no probability or success
-float, can see.  Any other injected instruction goes through
-:func:`apply_instruction_batch` and inherits its bit-compatibility.
+Fault injections are applied per circuit position.  A row's Pauli
+injections at one position compose into one Pauli string, whose effect
+is a signed permutation of the amplitudes: ``new[i] = phase[i] *
+old[perm[i]]``, with X and Y flipping a qubit's bit and Y and Z
+multiplying by ±i or ±1 (:func:`_pauli_gather`, memoised per string
+and register width).  Every row's string at a position then goes in
+one gather, ``states[rows] = states[rows, perm] * phase``.  Every
+product there is by ±1 or ±i and nothing is summed, so nothing rounds:
+the amplitudes equal the scalar tensordot's bit for bit, except that
+an exact zero may carry the other sign — which no ``|amplitude|**2``,
+and so no probability or success float, can see.  Any other injected
+instruction goes through :func:`apply_instruction_batch` on its rows
+and inherits its bit-compatibility.
 """
 
 from __future__ import annotations
@@ -206,41 +208,109 @@ def apply_unitary_batch(
     return _apply_unitary_batch_gemm(states, matrix, qubits, num_qubits)
 
 
+@lru_cache(maxsize=4096)
+def _gate_operator(name: str, params: Tuple[float, ...]) -> np.ndarray:
+    """:func:`gate_matrix` as the read-only contiguous ``(2**k, 2**k)``
+    operand the wide kernel hands BLAS, built once per gate value."""
+    matrix = gate_matrix(name, params)
+    operator = np.ascontiguousarray(matrix, dtype=complex).reshape(
+        matrix.shape[0], -1
+    )
+    operator.flags.writeable = False
+    return operator
+
+
 def apply_instruction_batch(
     states: np.ndarray, inst: Instruction, num_qubits: int
 ) -> np.ndarray:
     """Apply one unitary instruction to a batch (measure/barrier no-op)."""
     if not inst.is_unitary:
         return states
-    matrix = gate_matrix(inst.name, inst.params)
+    matrix = _gate_operator(inst.name, inst.params)
     return apply_unitary_batch(states, matrix, inst.qubits, num_qubits)
 
 
-#: Per-half phases of each Pauli after its half swap (X and Y swap
-#: qubit q's halves, Z does not): multiplications by 0, ±1 and ±i,
-#: which never round.
-_PAULI_PHASES = {
-    "x": None,
-    "y": np.array([[-1j], [1j]]),
-    "z": np.array([[1], [-1]], dtype=complex),
-}
+#: Each Pauli's factor on an amplitude whose qubit bit is 0 or 1,
+#: applied after the bit flip (X and Y flip it, Z does not).
+_PAULI_FACTORS = {"x": (1, 1), "y": (-1j, 1j), "z": (1, -1)}
+
+#: A composed run of Pauli injections: ``(name, qubit)`` in order.
+PauliString = Tuple[Tuple[str, int], ...]
 
 
-def _inject_pauli(
-    states: np.ndarray, rows: List[int], name: str, qubit: int
-) -> None:
-    """Apply Pauli ``name`` on ``qubit`` to ``states[rows]`` in place."""
-    halves = states.reshape(states.shape[0], 2**qubit, 2, -1)
-    picked = halves[rows]
-    if name != "z":
-        picked = picked[:, :, ::-1]
-    phases = _PAULI_PHASES[name]
-    if phases is not None:
-        picked = picked * phases
-    halves[rows] = picked
+@lru_cache(maxsize=256)
+def _pauli_gather(
+    paulis: PauliString, num_qubits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The signed permutation of a Pauli string on ``num_qubits``:
+    after the string, amplitude ``i`` is ``phase[i] * old[perm[i]]``.
+
+    Composes the Paulis in order; every phase is a product of ±1 and
+    ±i, which never rounds.  A compacted register's strings (3 per
+    qubit, 15 per qubit pair) fit the bound many times over.
+    """
+    index = np.arange(2**num_qubits)
+    perm = index
+    phase = np.ones(index.size, dtype=complex)
+    for name, qubit in paulis:
+        bit = 1 << (num_qubits - 1 - qubit)
+        source = index if name == "z" else index ^ bit
+        low, high = _PAULI_FACTORS[name]
+        factor = np.where(index & bit, high, low).astype(complex)
+        perm = perm[source]
+        phase = factor * phase[source]
+    perm.flags.writeable = phase.flags.writeable = False
+    return perm, phase
 
 
 FaultInjections = Sequence[Tuple[int, Instruction]]
+
+
+#: One round of injections at a position: the rows taking a Pauli
+#: string and each one's string id, and the rows of each other
+#: instruction.
+_Round = Tuple[List[int], List[int], Dict[Instruction, List[int]]]
+
+
+def _injection_rounds(
+    fault_sets: Sequence[Optional[FaultInjections]],
+) -> Tuple[Dict[int, List[_Round]], Dict[PauliString, int]]:
+    """position -> rounds, and the id of every Pauli string used.
+
+    A row's consecutive Pauli injections at one position compose into
+    one :data:`PauliString`; any other injection stands alone.  Round
+    ``j`` holds each row's ``j``-th of those at that position, so a
+    row's injections keep their order and a round touches each row at
+    most once.
+    """
+    strings: Dict[PauliString, int] = {}
+    rounds: Dict[int, List[_Round]] = {}
+    for row, injections in enumerate(fault_sets):
+        if not injections:
+            continue
+        ops: Dict[int, list] = {}
+        for position, fault in injections:
+            at = ops.setdefault(position, [])
+            if fault.name in _PAULI_FACTORS:
+                pauli = ((fault.name, fault.qubits[0]),)
+                if at and type(at[-1]) is tuple:
+                    at[-1] += pauli
+                else:
+                    at.append(pauli)
+            else:
+                at.append(fault)
+        for position, at in ops.items():
+            slots = rounds.setdefault(position, [])
+            for j, op in enumerate(at):
+                if j == len(slots):
+                    slots.append(([], [], {}))
+                rows, kinds, others = slots[j]
+                if type(op) is tuple:
+                    rows.append(row)
+                    kinds.append(strings.setdefault(op, len(strings)))
+                else:
+                    others.setdefault(op, []).append(row)
+    return rounds, strings
 
 
 def simulate_statevector_batch(
@@ -272,29 +342,25 @@ def simulate_statevector_batch(
             np.asarray(initial_state, dtype=complex).reshape(1, -1),
             (batch, 1),
         )
-    # position -> rounds of {instruction: rows}.  Round j holds each
-    # row's j-th injection at that position, so a row's injections keep
-    # their order and a round touches each row at most once.
-    fault_map: Dict[int, List[Dict[Instruction, List[int]]]] = {}
-    for row, injections in enumerate(fault_sets):
-        depth: Dict[int, int] = {}
-        for position, fault in injections or ():
-            j = depth.get(position, 0)
-            depth[position] = j + 1
-            rounds = fault_map.setdefault(position, [])
-            if j == len(rounds):
-                rounds.append({})
-            rounds[j].setdefault(fault, []).append(row)
+    rounds, strings = _injection_rounds(fault_sets)
+    if strings:
+        tables = [_pauli_gather(paulis, n) for paulis in strings]
+        perms = np.stack([perm for perm, _ in tables])
+        phases = np.stack([phase for _, phase in tables])
     for idx, inst in enumerate(circuit):
         states = apply_instruction_batch(states, inst, n)
-        for groups in fault_map.get(idx, ()):
-            for fault, rows in groups.items():
-                if fault.name in _PAULI_PHASES:
-                    _inject_pauli(states, rows, fault.name, fault.qubits[0])
-                else:
-                    states[rows] = apply_instruction_batch(
-                        states[rows], fault, n
-                    )
+        for rows, kinds, others in rounds.get(idx, ()):
+            if rows:
+                # Every Pauli string of the round in one gather.
+                picked = np.array(rows)[:, None]
+                kind = np.array(kinds)
+                states[picked[:, 0]] = states[picked, perms[kind]] * (
+                    phases[kind]
+                )
+            for fault, fault_rows in others.items():
+                states[fault_rows] = apply_instruction_batch(
+                    states[fault_rows], fault, n
+                )
     return states
 
 

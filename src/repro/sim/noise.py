@@ -6,11 +6,30 @@ on the gate's qubits (depolarizing noise).  Virtual-Z rotations carry no
 error.  Readout errors flip each measured bit independently with the
 qubit's calibrated readout error rate; they are folded in analytically
 by :mod:`repro.sim.success` rather than sampled.
+
+Sampling replays one RNG stream three ways.  The legacy per-location
+loop (:meth:`NoiseModel.sample_faults`) is the oracle.  The per-row
+sampler (:meth:`NoiseModel.sample_faulty`) draws one ``rng.random(n)``
+row per attempt and one ``rng.integers(k)`` per hit.  The block sampler
+(:meth:`NoiseModel.sample_faulty_block`) draws every faulty
+configuration of an estimate from one block of raw PCG64 words
+(``bit_generator.random_raw``): it turns a word into the double
+``Generator.random`` makes of it (``(w >> 11) * 2**-53``), scans only
+the words below the largest error rate for hits, and replays
+``Generator.integers(k)`` as NumPy's 32-bit Lemire draw, halves of one
+word buffered between calls as PCG64's ``has_uint32`` does.  It then
+winds the generator back to the first unused word, so the stream and
+the generator state match the per-row loop's exactly.  That replay
+leans on NumPy internals, so the first block call runs a one-off
+self-check against the real ``Generator``
+(:func:`_block_sampler_bit_identical`); a mismatch, or any bit
+generator but PCG64, drops every call to the per-row loop.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -201,6 +220,44 @@ class NoiseModel:
         worst = int(np.argmax(self._probabilities))
         return self._choose([worst], rng), max_attempts
 
+    def sample_faulty_block(
+        self,
+        rng: np.random.Generator,
+        count: int,
+        max_attempts: int = 10_000,
+    ) -> Tuple[List[FaultConfig], int]:
+        """``count`` :meth:`sample_faulty` draws in one call: the
+        configurations and their total attempts, from the identical
+        stream, leaving ``rng`` in the identical state.
+
+        Replays the stream from raw words when this NumPy passed
+        :func:`_block_sampler_bit_identical`; otherwise, for a bit
+        generator other than PCG64, or with no locations, runs the
+        per-row loop.
+        """
+        if (
+            not self.locations
+            or type(rng.bit_generator) is not np.random.PCG64
+            or not _block_sampler_bit_identical()
+        ):
+            return self._sample_faulty_rows(rng, count, max_attempts)
+        return _replay_faulty_block(
+            rng.bit_generator, self._probabilities, self._num_choices,
+            count, max_attempts,
+        )
+
+    def _sample_faulty_rows(
+        self, rng: np.random.Generator, count: int, max_attempts: int
+    ) -> Tuple[List[FaultConfig], int]:
+        """The per-row loop :meth:`sample_faulty_block` replays."""
+        configs: List[FaultConfig] = []
+        attempts = 0
+        for _ in range(count):
+            config, tries = self.sample_faulty(rng, max_attempts)
+            configs.append(config)
+            attempts += tries
+        return configs, attempts
+
     def _hits(self, rng: np.random.Generator) -> List[int]:
         """The faulting locations of one ``rng.random(n)`` row."""
         draws = rng.random(self._probabilities.size)
@@ -268,6 +325,209 @@ class NoiseModel:
             for pauli in fault.paulis:
                 injections.append((fault.position, pauli))
         return injections
+
+
+#: ``Generator.random``'s scale from a word's top 53 bits to [0, 1).
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+_LOW32 = 0xFFFFFFFF
+#: Largest block of raw words read at once (8 MB), unless one sample
+#: alone needs more.
+_MAX_BLOCK_WORDS = 1 << 20
+
+#: Lazily computed result of the block sampler's self-check (None
+#: until the first block call).  False drops every block call to the
+#: per-row loop for the life of the process.
+_BLOCK_SAMPLER_VERIFIED: Optional[bool] = None
+
+
+def _replay_faulty_block(
+    bit_generator: np.random.PCG64,
+    probabilities: np.ndarray,
+    num_choices: Sequence[int],
+    count: int,
+    max_attempts: int,
+) -> Tuple[List[FaultConfig], int]:
+    """:meth:`NoiseModel.sample_faulty_block`'s raw-word replay.
+
+    Words are read in blocks sized from the expected attempts per
+    sample, at most :data:`_MAX_BLOCK_WORDS` at a time; a sample that
+    runs past its block is redrawn from its first word on a block at
+    least twice its unused part.
+    """
+    replay = _RawReplay(bit_generator, probabilities, num_choices,
+                        max_attempts)
+    p_fault = 1.0 - float(np.prod(1.0 - probabilities))
+    rows = max_attempts if p_fault <= 0.0 else min(max_attempts, 1 / p_fault)
+    words_per_sample = len(probabilities) * rows + 2
+    configs: List[FaultConfig] = []
+    attempts = 0
+    while len(configs) < count:
+        sample = replay.sample()
+        if sample is None:
+            estimate = int(words_per_sample * 1.1 * (count - len(configs)))
+            replay.refill(
+                max(min(estimate, _MAX_BLOCK_WORDS), replay.unused() + 64)
+            )
+            continue
+        configs.append(sample[0])
+        attempts += sample[1]
+    replay.finish()
+    return configs, attempts
+
+
+class _RawReplay:
+    """A PCG64 ``Generator``'s faulty-configuration draws, replayed from
+    blocks of its raw words.
+
+    A word is a hit for location ``c`` of the ``random(n)`` row it
+    falls in when its double is below ``rates[c]``, so only the words
+    below the largest rate (the candidates) are ever compared.  Each
+    Pauli choice replays ``Generator.integers(k)``: NumPy's 32-bit
+    Lemire draw, which takes the buffered high half of the last word
+    when there is one (PCG64's ``has_uint32``) and else the low half of
+    a fresh word, and redraws while the product's low 32 bits fall
+    below ``(2**32 - k) % k``.
+    """
+
+    def __init__(
+        self,
+        bit_generator: np.random.PCG64,
+        probabilities: np.ndarray,
+        num_choices: Sequence[int],
+        max_attempts: int,
+    ) -> None:
+        self.bit_generator = bit_generator
+        self.rates = probabilities.tolist()
+        self.top = max(self.rates)
+        self.worst = int(np.argmax(probabilities))
+        self.num_choices = num_choices
+        self.max_attempts = max_attempts
+        state = bit_generator.state
+        self.has32 = bool(state["has_uint32"])
+        self.buf32 = int(state["uinteger"])
+        self.base = self.pos = 0  # stream indices of words[0], next unused
+        self.words = np.empty(0, dtype=np.uint64)
+        self.cand: List[int] = []  # stream indices of the candidates
+        self.cand_u: List[float] = []  # and their doubles
+
+    def unused(self) -> int:
+        return self.base + self.words.size - self.pos
+
+    def refill(self, size: int) -> None:
+        """Read ``size`` fresh words after the unused ones; drop the
+        consumed ones."""
+        fresh = self.bit_generator.random_raw(size)
+        self.words = np.concatenate((self.words[self.pos - self.base:], fresh))
+        self.base = self.pos
+        doubles = (self.words >> np.uint64(11)) * _DOUBLE_SCALE
+        hot = np.flatnonzero(doubles < self.top)
+        self.cand = (hot + self.base).tolist()
+        self.cand_u = doubles[hot].tolist()
+
+    def sample(self) -> Optional[Tuple[FaultConfig, int]]:
+        """The next faulty configuration and its attempts, or None (and
+        nothing consumed) when it needs words past the block."""
+        rates, cand, cand_u = self.rates, self.cand, self.cand_u
+        width = len(rates)
+        start = pos = self.pos
+        end = self.base + self.words.size
+        limit = start + self.max_attempts * width
+        stop = min(limit, end)
+        i = bisect_left(cand, start)
+        hits: List[int] = []
+        row_end = limit
+        while i < len(cand) and cand[i] < stop:
+            c = (cand[i] - start) % width
+            if cand_u[i] < rates[c]:
+                row_start = cand[i] - c
+                row_end = row_start + width
+                hits.append(c)
+                i += 1
+                while i < len(cand) and cand[i] < row_end:
+                    c = cand[i] - row_start
+                    if cand_u[i] < rates[c]:
+                        hits.append(c)
+                    i += 1
+                break
+            i += 1
+        if row_end > end:
+            return None
+        if hits:
+            tries = (row_end - start) // width
+        else:
+            hits, tries = [self.worst], self.max_attempts
+        pos, has32, buf32 = row_end, self.has32, self.buf32
+        config = []
+        for loc in hits:
+            k = self.num_choices[loc]
+            threshold = (0x100000000 - k) % k
+            while True:
+                if has32:
+                    has32, draw = False, buf32
+                elif pos < end:
+                    word = int(self.words[pos - self.base])
+                    pos += 1
+                    has32, buf32, draw = True, word >> 32, word & _LOW32
+                else:
+                    return None
+                m = draw * k
+                if m & _LOW32 >= threshold:
+                    break
+            config.append((loc, m >> 32))
+        self.pos, self.has32, self.buf32 = pos, has32, buf32
+        return tuple(config), tries
+
+    def finish(self) -> None:
+        """Wind the generator back to the first unused word and restore
+        the half word the last ``integers()`` call left buffered."""
+        self.bit_generator.advance(-self.unused())
+        state = self.bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(self.has32), self.buf32
+        self.bit_generator.state = state
+
+
+def _block_sampler_bit_identical() -> bool:
+    """One-off self-check: does the raw-word replay match ``Generator``?
+
+    Draws faulty configurations from two fixed models (mixed 1Q and 2Q
+    locations; one so clean that every sample takes the
+    ``max_attempts`` fallback) with the block replay and with the
+    per-row loop on a twin generator, and compares the configurations,
+    attempt counts and final generator states.  Cached for the life of
+    the process; costs about a millisecond once.
+    """
+    global _BLOCK_SAMPLER_VERIFIED
+    if _BLOCK_SAMPLER_VERIFIED is None:
+        ok = True
+        for rates, max_attempts in (
+            ((0.02, 0.3, 0.004, 0.11, 0.05, 0.2, 0.001), 10_000),
+            ((1e-9, 2e-9), 3),
+        ):
+            model = NoiseModel(
+                [
+                    _NoisyLocation(i, (i, i + 1) if i % 2 else (i,), rate)
+                    for i, rate in enumerate(rates)
+                ],
+                {},
+            )
+            block_rng = np.random.default_rng(191)
+            row_rng = np.random.default_rng(191)
+            # An odd integers() call leaves half a word buffered.
+            block_rng.integers(3)
+            row_rng.integers(3)
+            got = _replay_faulty_block(
+                block_rng.bit_generator, model._probabilities,
+                model._num_choices, 40, max_attempts,
+            )
+            want = model._sample_faulty_rows(row_rng, 40, max_attempts)
+            if (
+                got != want
+                or block_rng.bit_generator.state
+                != row_rng.bit_generator.state
+            ):
+                ok = False
+        _BLOCK_SAMPLER_VERIFIED = ok
+    return _BLOCK_SAMPLER_VERIFIED
 
 
 class DistinctConfigs:

@@ -15,12 +15,19 @@ its floats stay bit-identical to the full register's; a density plan
 always compacts, since a 4**n matrix of the device register would not
 fit.  The ``_reference_*`` estimators skip the plan on purpose: they
 are the oracle it is tested against.
+
+The plan also turns engine states into the success estimators' figure
+of merit: :meth:`SimulationPlan.correct_probability` for one outcome
+distribution, and :meth:`SimulationPlan.correct_probabilities` for a
+whole batch of states at once, float for float the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.devices.calibration import Calibration
 from repro.devices.device import Device
@@ -31,7 +38,15 @@ from repro.sim.batch import (
     simulate_statevector_batch,
 )
 from repro.sim.noise import NoiseModel
-from repro.sim.statevector import distribution_from_state, measurement_wiring
+from repro.sim.statevector import (
+    _PROB_EPS,
+    distribution_from_state,
+    measurement_wiring,
+)
+
+#: Row-by-key entries :meth:`SimulationPlan.correct_probabilities`
+#: holds per array at once (8 MB of float64).
+_SCORE_ENTRIES = 1 << 20
 
 
 def readout_corrected_probability(
@@ -93,6 +108,62 @@ class SimulationPlan:
         return readout_corrected_probability(
             distribution, correct, self.wiring, self.readout
         )
+
+    def correct_probabilities(
+        self, states: np.ndarray, correct: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row of a ``(batch, 2**n)`` engine-register ``states``:
+        P(classical bits == ``correct``) without and with readout error.
+
+        Row ``i`` equals, float for float, ``distribution.get(correct,
+        0.0)`` and :meth:`correct_probability` of ``distribution =
+        distribution_from_state(states[i], wiring, n)``, by doing that
+        path's float operations in its order: ``np.add.at`` sums each
+        key's probabilities above the cutoff in basis-index order, the
+        readout factors multiply in one wiring bit at a time, and
+        ``np.add.accumulate`` adds each row's keys in the order that
+        row first saw them (absent keys add an exact 0.0 at the end).
+        """
+        n = self.simulated.num_qubits
+        index = np.arange(2**n)
+        # Each basis index's classical-bit string as an integer (cbit 0
+        # most significant; a later measurement of a cbit wins).
+        bit_of = {
+            cbit: (index >> (n - 1 - qubit)) & 1 for qubit, cbit in self.wiring
+        }
+        code = np.zeros(index.size, dtype=np.int64)
+        for cbit, bits in bit_of.items():
+            code |= bits << (self.num_cbits - 1 - cbit)
+        keys, key_of = np.unique(code, return_inverse=True)
+        factors = []
+        for qubit, cbit in self.wiring:
+            flip = self.readout[qubit]
+            key_bit = (keys >> (self.num_cbits - 1 - cbit)) & 1
+            want = {"0": 0, "1": 1}.get(correct[cbit], -1)
+            factors.append(np.where(key_bit == want, 1.0 - flip, flip))
+        correct_code = int(correct, 2) if set(correct) <= {"0", "1"} else -1
+        hit = np.flatnonzero(keys == correct_code)
+        ideal = np.zeros(states.shape[0])
+        corrected = np.zeros(states.shape[0])
+        step = max(1, _SCORE_ENTRIES // keys.size)
+        for lo in range(0, states.shape[0], step):
+            probs = np.abs(states[lo : lo + step]) ** 2
+            rows, cols = np.nonzero(probs > _PROB_EPS)
+            cells = (rows, key_of[cols])
+            marginal = np.zeros((probs.shape[0], keys.size))
+            np.add.at(marginal, cells, probs[rows, cols])
+            first = np.full(marginal.shape, index.size)
+            np.minimum.at(first, cells, cols)
+            if hit.size:
+                ideal[lo : lo + step] = marginal[:, hit[0]]
+            for factor in factors:
+                marginal *= factor
+            order = np.argsort(first, axis=1, kind="stable")
+            ordered = np.take_along_axis(marginal, order, axis=1)
+            corrected[lo : lo + step] = np.add.accumulate(ordered, axis=1)[
+                :, -1
+            ]
+        return ideal, corrected
 
 
 def engine_register(

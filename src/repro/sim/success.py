@@ -12,11 +12,19 @@ answer (paper section 2.3).  Two estimators:
   contribution is averaged over sampled fault configurations, each
   simulated exactly.  This is far lower-variance than sampling
   bitstrings shot by shot, while exercising the same physics.
+
+Each Monte-Carlo estimate is one fused batch: the block sampler draws
+every faulty configuration at once, the clean run is row 0 of the same
+batched simulation as the distinct configurations, and one batched
+readout scoring turns every row into its correct-answer probabilities.
+All of it is bit-identical to the legacy one-sample-at-a-time
+estimator, kept as :func:`_reference_monte_carlo_success_rate`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +35,6 @@ from repro.ir.circuit import Circuit
 from repro.obs.tracer import span as obs_span
 from repro.sim.batch import (
     DEFAULT_MAX_CONFIGS_IN_FLIGHT,
-    chunked,
     simulate_statevector_batch,
 )
 from repro.sim.noise import DistinctConfigs, NoiseModel
@@ -104,13 +111,14 @@ def monte_carlo_success_rate(
     analytically.  The estimator is unbiased in the fault-sampling term
     and exact elsewhere.
 
-    The faulty-run term batches: all ``fault_samples`` configurations
-    are drawn first with :meth:`NoiseModel.sample_faulty` (consuming
-    the RNG stream exactly as the legacy per-sample loop did), distinct
-    ``(location, choice)`` configurations are simulated once
-    through :func:`repro.sim.batch.simulate_statevector_batch` in
-    bounded chunks, and the accumulator then adds each sample's
-    correct-probability in the original sample order — so the returned
+    One fused batch per call: :meth:`NoiseModel.sample_faulty_block`
+    draws all ``fault_samples`` configurations (consuming the RNG
+    stream exactly as the legacy per-sample loop did); the clean run is
+    row 0 and each distinct ``(location, choice)`` configuration one
+    more row of :func:`repro.sim.batch.simulate_statevector_batch`, in
+    bounded chunks; :meth:`SimulationPlan.correct_probabilities` scores
+    every row at once; and the accumulator adds each sample's
+    correct-probability in the original sample order.  So the returned
     floats are bit-identical to the legacy estimator's (kept as
     :func:`_reference_monte_carlo_success_rate`): repeated
     configurations yield identical per-sample floats because the
@@ -121,57 +129,51 @@ def monte_carlo_success_rate(
     plan.check_answer(correct)
     model = plan.model
     rng = np.random.default_rng(seed)
-    simulated = plan.simulated
-    n = simulated.num_qubits
-
-    ideal_distribution = plan.ideal_distribution()
-    ideal_rate = ideal_distribution.get(correct, 0.0)
-    clean_correct = plan.correct_probability(ideal_distribution, correct)
+    n = plan.simulated.num_qubits
 
     p_clean = model.no_fault_probability()
+    faulty_weight = 1.0 - p_clean
+    # When runs are essentially always clean, skip the expensive term.
+    sampled = (
+        faulty_weight > 1e-6 and fault_samples > 0 and model.total_locations()
+    )
+    span = obs_span(
+        "simulate.success",
+        circuit=circuit.name,
+        fault_samples=fault_samples,
+        state_qubits=n,
+        device_qubits=circuit.num_qubits,
+    ) if sampled else nullcontext()
+    with span as sp:
+        configs = DistinctConfigs(model, plan.index)
+        drawn, attempts = (
+            model.sample_faulty_block(rng, fault_samples) if sampled
+            else ([], 0)
+        )
+        sample_config = [configs.add(config) for config in drawn]
+        # Row 0 is the clean run, row 1 + c distinct configuration c.
+        batch = [None] + configs.injections
+        ideal, row_correct = np.empty(len(batch)), np.empty(len(batch))
+        for lo in range(0, len(batch), DEFAULT_MAX_CONFIGS_IN_FLIGHT):
+            rows = slice(lo, lo + DEFAULT_MAX_CONFIGS_IN_FLIGHT)
+            states = simulate_statevector_batch(plan.simulated, batch[rows])
+            ideal[rows], row_correct[rows] = plan.correct_probabilities(
+                states, correct
+            )
+        if sp:
+            sp.set(
+                distinct_fault_configs=len(configs),
+                sample_attempts=attempts,
+            )
+    ideal_rate = float(ideal[0])
+    clean_correct = float(row_correct[0])
     # estimated_success_probability's product, from the same floats.
     esp = p_clean * plan.readout_survival() * ideal_rate
-
-    faulty_weight = 1.0 - p_clean
     faulty_mean = 0.0
     samples_used = 0
-    # When runs are essentially always clean, skip the expensive term.
-    if faulty_weight > 1e-6 and fault_samples > 0 and model.total_locations():
-        with obs_span(
-            "simulate.success",
-            circuit=circuit.name,
-            fault_samples=fault_samples,
-            state_qubits=n,
-            device_qubits=circuit.num_qubits,
-        ) as sp:
-            sample_config = np.empty(fault_samples, dtype=np.intp)
-            configs = DistinctConfigs(model, plan.index)
-            attempts = 0
-            for s in range(fault_samples):
-                config, tries = model.sample_faulty(rng)
-                attempts += tries
-                sample_config[s] = configs.add(config)
-            config_correct = np.empty(len(configs), dtype=float)
-            config_order = list(range(len(configs)))
-            for chunk in chunked(config_order, DEFAULT_MAX_CONFIGS_IN_FLIGHT):
-                states = simulate_statevector_batch(
-                    simulated, [configs.injections[c] for c in chunk]
-                )
-                for row, config in enumerate(chunk):
-                    distribution = distribution_from_state(
-                        states[row], plan.wiring, n
-                    )
-                    config_correct[config] = plan.correct_probability(
-                        distribution, correct
-                    )
-            acc = 0.0
-            for s in range(fault_samples):
-                acc += float(config_correct[sample_config[s]])
-            if sp:
-                sp.set(
-                    distinct_fault_configs=len(configs),
-                    sample_attempts=attempts,
-                )
+    if sampled:
+        # Sequential adds in sample order, as the legacy loop's acc +=.
+        acc = float(np.add.accumulate(row_correct[1:][sample_config])[-1])
         samples_used = fault_samples
         faulty_mean = acc / fault_samples
 

@@ -41,6 +41,24 @@ class TestKeys:
         with pytest.raises(TypeError):
             digest(object())
 
+    def test_encoding_is_pinned(self):
+        # Exact scalars render inline; subclasses (np.float64, IntEnum,
+        # namedtuple) keep the recursive path's text.
+        import collections
+        import enum
+
+        import numpy as np
+
+        class E(enum.IntEnum):
+            A = 1
+
+        pair = collections.namedtuple("pair", "x y")
+        value = [None, True, 0, -1, 1.5, -0.0, "q", np.float64(0.25), E.A,
+                 pair(1, 2.0), (1, (2, [3, {4: 5}])), {"b": {1, 2}}]
+        assert digest(value) == (
+            "bc492a8c130216768199b2be40a109aacc3b808f190a3151e62ae4504b0a861e"
+        )
+
     def test_circuit_fingerprint_ignores_name(self):
         a = Circuit(2, name="one").h(0).cx(0, 1)
         b = Circuit(2, name="two").h(0).cx(0, 1)
@@ -50,6 +68,48 @@ class TestKeys:
         a = Circuit(2).h(0).cx(0, 1)
         b = Circuit(2).h(0).cx(1, 0)
         assert circuit_fingerprint(a) != circuit_fingerprint(b)
+
+    def test_circuit_fingerprint_memo_follows_append(self, monkeypatch):
+        import repro.cache.keys as keys
+
+        computed = []
+        real = keys.circuit_fingerprint
+        monkeypatch.setattr(
+            keys, "circuit_fingerprint",
+            lambda circuit: computed.append(circuit) or real(circuit),
+        )
+        circuit = Circuit(2).h(0)
+        device = ibmq5_tenerife()
+        first = compile_key(circuit, device, "x")
+        assert success_key(circuit, device, "00").startswith("sr-")
+        assert circuit.fingerprint == real(circuit)
+        assert computed == [circuit]
+        circuit.cx(0, 1)
+        assert compile_key(circuit, device, "x") != first
+        assert circuit.fingerprint == real(circuit)
+        assert computed == [circuit, circuit]
+        # The memo never travels: pickles and copies hold only structure.
+        assert "_fingerprint" not in pickle.loads(pickle.dumps(circuit)).__dict__
+        assert pickle.dumps(circuit) == pickle.dumps(
+            Circuit(2, instructions=circuit.instructions)
+        )
+
+    def test_sweep_hashes_each_circuit_once(self, monkeypatch, tmp_path):
+        import repro.cache.keys as keys
+        from repro import api
+
+        seen = []
+        real = keys.circuit_fingerprint
+        monkeypatch.setattr(
+            keys, "circuit_fingerprint",
+            lambda circuit: seen.append(circuit) or real(circuit),
+        )
+        api.sweep(
+            "tenerife", ["N", "1QOptCN"], benchmarks=["BV4", "HS2"],
+            days=[0, 5], workers=1, fault_samples=4, cache_dir=tmp_path,
+        )
+        assert seen
+        assert len({id(circuit) for circuit in seen}) == len(seen)
 
     def test_device_fingerprint_changes_with_day(self):
         device = ibmq5_tenerife()

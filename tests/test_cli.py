@@ -118,9 +118,42 @@ class TestCommands:
         assert main(["experiment", name]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_unknown_device_errors(self):
-        with pytest.raises(KeyError):
-            main(["compile", "-b", "BV4", "-d", "sycamore"])
+    @pytest.mark.parametrize(
+        "argv,kind,name",
+        [
+            (["compile", "-b", "BV4", "-d", "sycamore"], "device",
+             "sycamore"),
+            (["compile", "-b", "NOPE", "-d", "umd"], "benchmark", "NOPE"),
+            (["run", "-b", "BV4", "-d", "nosuch"], "device", "nosuch"),
+            (["run", "-b", "NOPE", "-d", "umd"], "benchmark", "NOPE"),
+            (["sweep", "-d", "nosuch", "-l", "N"], "device", "nosuch"),
+            (["sweep", "-d", "umd", "-b", "BV4, NOPE"], "benchmark",
+             "NOPE"),
+            (["check", "-d", "umd,nosuch"], "device", "nosuch"),
+            (["check", "-b", "NOPE"], "benchmark", "NOPE"),
+            (["fuzz", "-d", "nosuch", "--circuits", "1"], "device",
+             "nosuch"),
+        ],
+    )
+    def test_unknown_name_is_a_one_line_usage_error(
+        self, argv, kind, name, capsys
+    ):
+        from repro.devices import all_devices
+        from repro.programs import standard_suite
+
+        known = ", ".join(
+            item.name
+            for item in (
+                all_devices() if kind == "device" else standard_suite()
+            )
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro {argv[0]}: unknown {kind} {name!r}; "
+            f"known {kind}s: {known}"
+        ]
 
 
 class TestContractFlags:

@@ -15,7 +15,9 @@ exactly:
   returns the reference's exact float;
 * noise-free distributions — ``ideal_distribution`` (batched engine,
   compacted register) is **dict-equal** to the scalar engine run on the
-  full device register.
+  full device register;
+* batched readout scoring — ``SimulationPlan.correct_probabilities``
+  returns the per-row dict path's exact floats.
 
 Workloads are seeded random circuits (``repro.contracts.fuzz``), so a
 failure replays exactly from the test id.
@@ -36,14 +38,15 @@ from repro.compiler import (
 from repro.compiler.mapping import smt_mapping
 from repro.compiler.reliability import _reference_compute_reliability
 from repro.contracts.fuzz import random_circuit
-from repro.devices import all_devices, device_by_name
-from repro.experiments.runner import fits
+from repro.devices import Topology, all_devices, device_by_name
+from repro.experiments.runner import DEFAULT_FAULT_SAMPLES, fits
 from repro.ir import Circuit
 from repro.ir.instruction import Instruction
 from repro.obs import Tracer, tracer_context
 from repro.programs import benchmark_by_name, standard_suite
 from repro.sim import ideal_distribution
 from repro.sim.batch import compact_register
+from repro.sim.plan import plan_simulation
 from repro.sim.statevector import (
     distribution_from_state,
     measurement_wiring,
@@ -54,6 +57,7 @@ from repro.sim.success import (
     monte_carlo_success_rate,
 )
 from repro.sim.trajectories import _reference_sample_counts, sample_counts
+from tests.helpers import make_device
 
 DEVICES = {device.name: device for device in all_devices()}
 DEVICE_NAMES = sorted(DEVICES)
@@ -188,6 +192,7 @@ def _assert_estimates_bitwise_equal(circuit, device, correct, samples):
         batched.no_fault_probability.hex()
         == reference.no_fault_probability.hex()
     )
+    assert batched.fault_samples == reference.fault_samples
 
 
 @pytest.mark.parametrize("device_name", DEVICE_NAMES)
@@ -285,6 +290,89 @@ def test_ideal_distribution_matches_full_register_scalar(
         compiled.num_qubits,
     )
     assert ideal_distribution(compiled) == reference
+
+
+#: The first ``sweep_days`` calibration day of each narrow device.
+SWEEP_DAY = {"tenerife": 7, "agave": 15, "umd": 23}
+
+
+@pytest.mark.parametrize(
+    "device_short,bench_name,level",
+    [cell for cell in IDENTITY_CELLS if cell[0] in SWEEP_DAY],
+)
+def test_sweep_cell_estimates_bitwise_equal(device_short, bench_name, level):
+    """Every fitting benchmark x level on the narrow devices, as a
+    calibration-day sweep estimates it: all five fields bit for bit."""
+    day = SWEEP_DAY[device_short]
+    device = device_by_name(device_short, day=day)
+    circuit, correct = benchmark_by_name(bench_name).build()
+    compiled = TriQCompiler(device, level=level, time_limit_s=None).compile(
+        circuit
+    ).circuit
+    batched = monte_carlo_success_rate(
+        compiled, device, correct, day=day,
+        fault_samples=DEFAULT_FAULT_SAMPLES, seed=day,
+    )
+    reference = _reference_monte_carlo_success_rate(
+        compiled, device, correct, day=day,
+        fault_samples=DEFAULT_FAULT_SAMPLES, seed=day,
+    )
+    for field in ("success_rate", "ideal_rate", "no_fault_probability",
+                  "esp"):
+        assert getattr(batched, field).hex() == getattr(reference, field).hex()
+    assert batched.fault_samples == reference.fault_samples
+
+
+def _scoring_plans():
+    """Plans over 5 device qubits with distinct readout errors: a cbit
+    order unlike the qubit order, a cbit two measurements write, a cbit
+    none writes, and a compacted register."""
+    device = make_device(
+        Topology.line(5),
+        readout_errors={0: 0.011, 1: 0.073, 2: 0.029, 3: 0.152, 4: 0.004},
+    )
+    permuted = Circuit(5).h(0).cx(0, 1).h(2).cx(2, 3).h(4)
+    for qubit, cbit in zip(range(5), (3, 0, 4, 1, 2)):
+        permuted.measure(qubit, cbit)
+    shared = Circuit(5).h(1).cx(1, 2).h(3)
+    shared.measure(1, 0).measure(2, 2).measure(3, 0)
+    compacted = Circuit(5).h(3).cx(3, 4)
+    compacted.measure(4, 0).measure(3, 1)
+    return [
+        plan_simulation(circuit, device)
+        for circuit in (permuted, shared, compacted)
+    ]
+
+
+@pytest.mark.parametrize("plan_index", [0, 1, 2])
+def test_correct_probabilities_match_dict_path(plan_index):
+    plan = _scoring_plans()[plan_index]
+    n = plan.simulated.num_qubits
+    rng = np.random.default_rng(plan_index)
+    states = rng.standard_normal((24, 2**n)) + 1j * rng.standard_normal(
+        (24, 2**n)
+    )
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    # Probabilities at and around the 1e-12 cutoff, exact zeros, and a
+    # basis state: dropping index 0 (or more) changes the key order the
+    # dict sees first.
+    states[::3, 0] = 1e-7
+    states[1::3, :3] = 0.0
+    states[2::6, 1] = 1e-6 + 0j
+    states[5] = 0.0
+    states[5, -1] = 1.0
+    wiring = measurement_wiring(plan.simulated)
+    dicts = [distribution_from_state(row, wiring, n) for row in states]
+    first_keys = {next(iter(d)) for d in dicts}
+    assert len(first_keys) > 1
+    for code in range(2**plan.num_cbits):
+        correct = format(code, f"0{plan.num_cbits}b")
+        ideal, corrected = plan.correct_probabilities(states, correct)
+        for i, distribution in enumerate(dicts):
+            assert ideal[i].hex() == distribution.get(correct, 0.0).hex()
+            assert corrected[i].hex() == plan.correct_probability(
+                distribution, correct
+            ).hex()
 
 
 def test_reference_paths_importable():

@@ -9,6 +9,9 @@ circuits:
   promise), each row of a batch with injected Pauli faults has the
   scalar faulty run's ``|amplitude|**2`` bit for bit, and concatenating
   two batches equals concatenating their results.
+* **Pauli gathers** — every 2Q Pauli pair a noise location draws, Y
+  on either qubit included, matches the scalar faulty run in
+  ``|amplitude|**2``.
 * **Permutation invariance** — reordering the fault sets of
   ``simulate_statevector_batch`` just reorders the output rows.
 * **Density-matrix agreement** — on 2-qubit circuits the clean batched
@@ -34,6 +37,7 @@ from repro.sim.batch import (
     zero_states,
 )
 from repro.sim.density import apply_unitary_to_density, zero_density
+from repro.sim.noise import _candidate_paulis
 from repro.sim.statevector import apply_unitary, simulate_statevector
 
 #: Gate pool with representative arities (params where required).
@@ -203,6 +207,52 @@ def test_agrees_with_density_on_two_qubit_circuits(seed):
     diagonal = np.real(np.diag(rho))
     for row in probabilities:
         np.testing.assert_allclose(row, diagonal, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    num_qubits=st.integers(2, 5),
+    data=st.data(),
+)
+def test_two_qubit_pauli_pairs_match_scalar(seed, num_qubits, data):
+    """Every 2Q Pauli pair a noise location can draw (Y on either qubit
+    included), several per row and position, composes into one gather
+    per position whose ``|amplitude|**2`` equals the scalar engine's."""
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, num_qubits, 8, name="pairs")
+    length = len(circuit)
+    pairs = [
+        (position, _candidate_paulis(qubits)[choice])
+        for position, qubits, choice in data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, length - 1),
+                    st.permutations(range(num_qubits)).map(
+                        lambda p: tuple(p[:2])
+                    ),
+                    st.integers(0, 14),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    ]
+    fault_sets = [
+        [(position, pauli) for position, paulis in pairs[:cut]
+         for pauli in paulis]
+        for cut in range(len(pairs) + 1)
+    ] + [
+        # Every pair on qubits (0, 1) after the last instruction.
+        [(length - 1, pauli) for pauli in paulis]
+        for paulis in _candidate_paulis((0, 1))
+    ]
+    rows = simulate_statevector_batch(circuit, fault_sets)
+    for row, faults in zip(rows, fault_sets):
+        scalar = simulate_statevector(circuit, faults=faults)
+        assert (np.abs(row) ** 2).tobytes() == (
+            np.abs(scalar) ** 2
+        ).tobytes()
 
 
 def test_zero_states_are_ground_states():

@@ -10,9 +10,12 @@ from repro.experiments.runner import fits
 from repro.ir import Circuit
 from repro.ir.instruction import Instruction
 from repro.programs import standard_suite
+from repro.sim import noise
 from repro.sim.noise import (
     DistinctConfigs,
     NoiseModel,
+    _NoisyLocation,
+    _RawReplay,
     instruction_error_probability,
 )
 
@@ -249,3 +252,158 @@ class TestSamplerStream:
             (0, Instruction("z", (1,))),
             (1, Instruction("z", (0,))),
         ]
+
+
+def _random_model(rng: np.random.Generator, num_locations: int, scale=1.0):
+    """Mixed 1Q/2Q locations, rates log-uniform in [1e-4, 0.5]."""
+    rates = np.exp(rng.uniform(np.log(1e-4), np.log(0.5), num_locations))
+    return NoiseModel(
+        [
+            _NoisyLocation(
+                i, (i, i + 1) if rng.random() < 0.4 else (i,),
+                float(rate * scale),
+            )
+            for i, rate in enumerate(rates)
+        ],
+        {},
+    )
+
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_with_zero_word(index: int) -> dict:
+    """A PCG64 state whose raw word ``index`` is 0 (XSL-RR outputs 0
+    when the stepped state's two halves are equal)."""
+    half = 0x9E3779B97F4A7C15
+    state, inc = (half << 64) | half, 0x5851F42D4C957F2D14057B7EF767814F
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(index + 1):
+        state = ((state - inc) * inverse) % (1 << 128)
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class TestBlockSampler:
+    """``sample_faulty_block`` replays the legacy rejection loop's
+    stream from raw PCG64 words: the same faults, the same attempts and
+    the same Generator state afterwards."""
+
+    @staticmethod
+    def _assert_matches_legacy(model, seed, count, max_attempts, warmup):
+        block_rng = np.random.default_rng(seed)
+        legacy_rng = np.random.default_rng(seed)
+        rows_rng = np.random.default_rng(seed)
+        for rng in (block_rng, legacy_rng, rows_rng):
+            for _ in range(warmup):  # an odd count buffers half a word
+                rng.integers(15)
+        configs, attempts = model.sample_faulty_block(
+            block_rng, count, max_attempts
+        )
+        legacy = [
+            model.sample_faulty_configuration(legacy_rng, max_attempts)
+            for _ in range(count)
+        ]
+        distinct = DistinctConfigs(model)
+        assert [
+            distinct.injections[distinct.add(config)] for config in configs
+        ] == [model.faults_as_injections(faults) for faults in legacy]
+        assert block_rng.bit_generator.state == legacy_rng.bit_generator.state
+        assert (configs, attempts) == model._sample_faulty_rows(
+            rows_rng, count, max_attempts
+        )
+        return attempts
+
+    def test_randomized_models_match_legacy_stream(self):
+        assert noise._block_sampler_bit_identical()
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            model = _random_model(rng, int(rng.integers(1, 121)))
+            self._assert_matches_legacy(
+                model,
+                seed=int(rng.integers(2**31)),
+                count=int(rng.integers(1, 200)),
+                max_attempts=int(rng.choice([1, 3, 10_000])),
+                warmup=trial % 3,
+            )
+
+    def test_max_attempts_fallback(self):
+        rng = np.random.default_rng(7)
+        model = _random_model(rng, 12, scale=1e-9)
+        count, max_attempts = 40, 5
+        attempts = self._assert_matches_legacy(
+            model, seed=3, count=count, max_attempts=max_attempts, warmup=1
+        )
+        assert attempts == count * max_attempts
+
+    def test_long_rejection_runs_span_blocks(self, monkeypatch):
+        # Blocks of 64 words: most samples outrun their block.
+        monkeypatch.setattr(noise, "_MAX_BLOCK_WORDS", 64)
+        rng = np.random.default_rng(8)
+        model = _random_model(rng, 30, scale=0.01)
+        self._assert_matches_legacy(
+            model, seed=5, count=25, max_attempts=10_000, warmup=0
+        )
+
+    def test_forced_self_check_failure_falls_back(self, monkeypatch):
+        def wrong_replay(*args):
+            configs, attempts = real_replay(*args)
+            return configs[::-1], attempts
+
+        real_replay = noise._replay_faulty_block
+        monkeypatch.setattr(noise, "_BLOCK_SAMPLER_VERIFIED", None)
+        monkeypatch.setattr(noise, "_replay_faulty_block", wrong_replay)
+        assert noise._block_sampler_bit_identical() is False
+        assert noise._BLOCK_SAMPLER_VERIFIED is False
+        rng = np.random.default_rng(9)
+        self._assert_matches_legacy(
+            _random_model(rng, 20), seed=4, count=30, max_attempts=10_000,
+            warmup=1,
+        )
+
+    def test_other_bit_generators_use_the_row_loop(self):
+        model = _random_model(np.random.default_rng(10), 15)
+        block_rng = np.random.Generator(np.random.MT19937(6))
+        rows_rng = np.random.Generator(np.random.MT19937(6))
+        assert model.sample_faulty_block(block_rng, 20) == (
+            model._sample_faulty_rows(rows_rng, 20, 10_000)
+        )
+        assert np.array_equal(block_rng.random(8), rows_rng.random(8))
+
+    @pytest.mark.parametrize("k", [3, 15])
+    def test_lemire_rejection_on_a_crafted_word_list(self, k):
+        # One location that always faults: word 0 is its row; word 1 is
+        # 0, so the Lemire draw rejects its low half, then the buffered
+        # high half, and takes the low half of word 2.
+        qubits = (0,) if k == 3 else (0, 1)
+        model = NoiseModel([_NoisyLocation(0, qubits, 0.999)], {})
+        state = _pcg64_with_zero_word(1)
+        twin = np.random.PCG64()
+        twin.state = state
+        replay = _RawReplay(twin, np.array([0.999]), [k], 10)
+        replay.refill(3)
+        words = replay.words
+        assert words[1] == 0
+        assert (words[0] >> np.uint64(11)) * 2.0**-53 < 0.999
+        config, tries = replay.sample()
+        assert (tries, replay.pos, replay.has32) == (1, 3, True)
+        assert replay.buf32 == int(words[2]) >> 32
+        # The real Generator agrees, state included.
+        legacy_rng = np.random.Generator(np.random.PCG64())
+        legacy_rng.bit_generator.state = state
+        (fault,) = model.sample_faulty_configuration(legacy_rng)
+        distinct = DistinctConfigs(model)
+        assert distinct.injections[distinct.add(config)] == (
+            model.faults_as_injections([fault])
+        )
+        block_rng = np.random.Generator(np.random.PCG64())
+        block_rng.bit_generator.state = state
+        assert model.sample_faulty_block(block_rng, 1) == ([config], 1)
+        assert (
+            block_rng.bit_generator.state == legacy_rng.bit_generator.state
+        )
