@@ -43,6 +43,7 @@ from repro.experiments.runner import (
     DEFAULT_FAULT_SAMPLES,
     CompilerName,
     artifact_key,
+    check_fault_samples,
     compile_keyed,
     compile_with,
     compiler_label,
@@ -248,6 +249,7 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     opt: str = "none",
     obs: Optional[ObsConfig] = None,
     obs_tag: str = "compile",
+    key: Optional[str] = None,
 ) -> CompileResult:
     """Compile one program for one device at one optimization level.
 
@@ -259,9 +261,11 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     placement solver (``"exact"``/``"portfolio"``/``"heuristic"``, see
     :mod:`repro.smt.portfolio`); ``opt`` the fixed-point pass-manager
     preset (``"none"``/``"basic"``/``"full"``, see
-    :mod:`repro.compiler.passes`).  Returns a :class:`CompileResult`
-    whose ``executable`` is byte-identical to what ``repro compile``
-    emits.
+    :mod:`repro.compiler.passes`).  ``key`` is this request's
+    :func:`compile_cache_key` when the caller already holds it (the
+    service computes it once at admission); it is trusted, not
+    recomputed.  Returns a :class:`CompileResult` whose ``executable``
+    is byte-identical to what ``repro compile`` emits.
     """
     options = CompileOptions(
         contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
@@ -274,10 +278,11 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    key = artifact_key(
-        built_circuit, resolved_device, resolved_level, day=day,
-        options=options,
-    )
+    if key is None:
+        key = artifact_key(
+            built_circuit, resolved_device, resolved_level, day=day,
+            options=options,
+        )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
         program, cache_hit = compile_keyed(
             key, built_circuit, resolved_device, resolved_level, day=day,
@@ -305,6 +310,7 @@ def run(
     opt: str = "none",
     obs: Optional[ObsConfig] = None,
     obs_tag: str = "run",
+    key: Optional[str] = None,
 ) -> RunResult:
     """Compile a suite benchmark and estimate its success rate.
 
@@ -312,7 +318,10 @@ def run(
     known-correct answer.  The estimate is produced by the very
     ``monte_carlo_success_rate`` call ``repro run`` has always made
     (default seed, no memoization), so the floats match bit for bit.
+    ``fault_samples`` must be a non-negative integer; ``key`` is as in
+    :func:`compile`.
     """
+    check_fault_samples(fault_samples)
     options = CompileOptions(
         contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
     )
@@ -325,10 +334,11 @@ def run(
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    key = artifact_key(
-        built_circuit, resolved_device, resolved_level, day=day,
-        options=options,
-    )
+    if key is None:
+        key = artifact_key(
+            built_circuit, resolved_device, resolved_level, day=day,
+            options=options,
+        )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
         program, cache_hit = compile_keyed(
             key, built_circuit, resolved_device, resolved_level, day=day,
@@ -553,16 +563,25 @@ def compile_cache_key(
 
     The service's request coalescer folds concurrent identical
     ``(circuit, calibration, options)`` submissions onto one underlying
-    job by comparing exactly this key.
+    job by comparing exactly this key.  A program wider than the device
+    has no artifact: that is a ``ValueError`` naming ``device``, as the
+    compile itself would raise.
     """
     options = CompileOptions(contracts=contracts, mapper=mapper, opt=opt)
     built_circuit, _ = build_program(
         benchmark=benchmark, scaffold=scaffold, defines=defines,
         circuit=circuit,
     )
+    resolved_device = _resolve_device(device, day)
+    if not fits(built_circuit, resolved_device):
+        raise ValueError(
+            f"bad 'device': {resolved_device.name} has "
+            f"{resolved_device.num_qubits} qubits but "
+            f"{built_circuit.name!r} needs {built_circuit.num_qubits}"
+        )
     return artifact_key(
         built_circuit,
-        _resolve_device(device, day),
+        resolved_device,
         resolve_level(level),
         day=day,
         options=options,

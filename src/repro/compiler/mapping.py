@@ -84,7 +84,8 @@ class InitialMapping:
         return dict(enumerate(self.placement))
 
 
-def _check_fits(circuit: Circuit, device: Device) -> None:
+def check_fits(circuit: Circuit, device: Device) -> None:
+    """ValueError naming both sides when ``circuit`` is wider than ``device``."""
     if circuit.num_qubits > device.num_qubits:
         raise ValueError(
             f"{circuit.name!r} needs {circuit.num_qubits} qubits but "
@@ -98,7 +99,7 @@ def default_mapping(circuit: Circuit, device: Device) -> InitialMapping:
     This ignores both topology and noise, "always using the first few
     qubits in the device" (paper section 6.3 on Qiskit).
     """
-    _check_fits(circuit, device)
+    check_fits(circuit, device)
     return InitialMapping(
         placement=tuple(range(circuit.num_qubits)),
         num_hardware_qubits=device.num_qubits,
@@ -114,7 +115,7 @@ def mapping_problem(
     Exposed so the differential test gate and the mapper benchmarks can
     race solvers on the *identical* problem instance the compiler sees.
     """
-    _check_fits(circuit, device)
+    check_fits(circuit, device)
     problem = AssignmentProblem(circuit.num_qubits, device.num_qubits)
     pair_scores = reliability.symmetric()
     for pair in interaction_pairs(circuit):

@@ -14,7 +14,12 @@ from repro.devices.device import Device
 from repro.ir.circuit import Circuit
 from repro.ir.instruction import Instruction
 from repro.ir.decompose import decompose_to_basis
-from repro.compiler.mapping import InitialMapping, default_mapping, smt_mapping
+from repro.compiler.mapping import (
+    InitialMapping,
+    check_fits,
+    default_mapping,
+    smt_mapping,
+)
 from repro.compiler.onequbit import count_pulses, optimize_single_qubit_gates
 from repro.compiler.reliability import ReliabilityMatrix, compute_reliability
 from repro.compiler.routing import route_circuit
@@ -387,7 +392,10 @@ class TriQCompiler:
         and records one-line summaries on the returned program).  The
         ``REPRO_CONTRACT_FAULT`` hook (:mod:`repro.contracts.inject`)
         can deliberately corrupt one stage to prove the checks fire.
+        A circuit wider than the device is a ``ValueError`` before any
+        stage runs.
         """
+        check_fits(circuit, self.device)
         started = time.monotonic()
         options = self.options
         recorder = ContractRecorder(options.contracts)

@@ -41,6 +41,9 @@ from typing import Optional
 #: ``lease-expiry:BENCH`` (the coordinator force-expires BENCH's first
 #: lease).
 #:
+#: The ``repro serve`` daemon's pool workers fire the three modes above
+#: on the benchmark of each compile and run job they execute.
+#:
 #: The ``repro serve`` daemon adds three more, read by its WAL and
 #: HTTP layers: ``serve-kill:N`` (uncatchable ``os._exit`` immediately
 #: after the Nth WAL fsync — a SIGKILL landing between the journal

@@ -11,6 +11,7 @@ out over a process pool.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -84,6 +85,23 @@ class Measurement:
     #: Net gates / 2Q gates the pass manager removed (0 at --opt none).
     opt_gates_removed: int = 0
     opt_two_qubit_removed: int = 0
+
+
+def check_fault_samples(value: object) -> None:
+    """ValueError unless ``value`` is a valid Monte-Carlo sample count.
+
+    Zero is legal (the estimate is then the fault-free term alone); a
+    negative, fractional, boolean or non-numeric count is not.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 0
+    ):
+        raise ValueError(
+            f"bad 'fault_samples': must be a non-negative integer, "
+            f"got {value!r}"
+        )
 
 
 def fits(circuit: Circuit, device: Device) -> bool:

@@ -1,10 +1,11 @@
 """The ``repro serve`` daemon: compilation as a long-lived service.
 
 A zero-dependency asyncio HTTP/JSON front over :mod:`repro.api` with a
-multi-tenant priority/rate queue, an in-process warm artifact cache
-shared across requests, content-addressed coalescing of identical
-in-flight jobs, a Prometheus ``/metrics`` endpoint, and graceful drain
-on SIGTERM.  See :mod:`repro.service.server` for the endpoint map.
+multi-tenant priority/rate queue, compile and run jobs executed in a
+supervised process pool (:mod:`repro.service.pool`), warm artifact
+caches shared across requests, known results answered in the event
+loop, content-addressed coalescing of identical in-flight jobs, a
+Prometheus ``/metrics`` endpoint, and graceful drain on SIGTERM.  See :mod:`repro.service.server` for the endpoint map.
 """
 
 from repro.service.client import (

@@ -51,7 +51,10 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (pair with ``port_file``).
     port: int = 8756
-    #: Concurrent job executors (threads running api.compile/run/sweep).
+    #: Concurrent jobs.  Compile and run jobs execute in a pool of this
+    #: many worker processes, started on the first job; a sweep job
+    #: holds one of the slots on a thread while its cells run on the
+    #: sweep engine's own pool.
     workers: int = 2
     cache_dir: Optional[Union[str, Path]] = None
     cache_enabled: bool = True

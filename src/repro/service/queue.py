@@ -181,6 +181,22 @@ class JobQueue:
             return 0.0
         return needed / limiter.rate
 
+    def start_now(self, tenant: str) -> bool:
+        """Whether a job for ``tenant`` may start without queueing.
+
+        True when dispatch would start it at once: not paused, none of
+        the tenant's jobs waiting ahead of it, and a token ready, which
+        is taken.  Used for requests the daemon answers in the event
+        loop, so they keep the tenant's rate and order.
+        """
+        if self.paused or self._queues.get(tenant):
+            return False
+        limiter = self._limiter(tenant)
+        if limiter.wait_time() > 0.0:
+            return False
+        limiter.take()
+        return True
+
     def pop_ready(self) -> Tuple[Optional[Job], Optional[float]]:
         """``(job, None)`` when one is runnable, else ``(None, delay)``.
 

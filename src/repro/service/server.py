@@ -7,10 +7,23 @@ framing is parsed by hand) that fronts :mod:`repro.api` with:
   mapped to a priority/rate class (:mod:`repro.service.config`); the
   scheduler is strict-priority with per-tenant token buckets
   (:mod:`repro.service.queue`);
-* a **persistent warm cache** — one process-wide
+* **a supervised process pool** — compile and run jobs execute in
+  ``workers`` long-lived worker processes (:mod:`repro.service.pool`),
+  started on the first job, so CPU-bound work never holds the
+  interpreter lock the event loop answers requests with; a worker
+  that dies fails only its own job (``WorkerCrashed``) and is
+  replaced.  Sweeps keep a thread of their own: their cells already
+  run on the sweep engine's pool;
+* **a persistent warm cache** — each worker keeps one process-wide
   :class:`~repro.cache.memory.MemoryCache` front over the on-disk
-  store, shared by every request, so compiled programs, reliability
-  matrices, and warm-start hints stay hot across jobs;
+  store, so compiled programs, reliability matrices, and warm-start
+  hints stay hot across jobs; the cache events a job caused travel
+  back with its result to ``repro_service_cache_events_total``;
+* **known results answered in the event loop** — the ``done`` payload
+  of every compile and run is kept in a memory-only LRU under its
+  coalescing key; a repeated request is answered from it at admission,
+  with the same three WAL records a pooled job leaves, and never waits
+  for a worker;
 * **request coalescing** — concurrent submissions whose
   content-addressed key (:func:`repro.api.compile_cache_key`) matches
   an in-flight job never queue a second compile: they share the
@@ -52,8 +65,9 @@ block until the job finishes, else 202 + job id immediately), and
 ``timeout`` (seconds before a waiting submission degrades to 202).
 Worker faults (:mod:`repro.experiments.faults`, ``REPRO_FAULT_INJECT``)
 stay contained: a crashed sweep cell surfaces as a structured
-``TaskFailure`` entry in that job's payload, and a job that raises
-fails with ``{"type", "message"}`` — the daemon itself never dies.
+``TaskFailure`` entry in that job's payload, a crashed pool worker
+fails its job with ``WorkerCrashed``, and a job that raises fails with
+``{"type", "message"}`` — the daemon itself never dies.
 """
 
 from __future__ import annotations
@@ -80,6 +94,7 @@ from repro.service.http import (
     write_response,
 )
 from repro.service.jobs import Job
+from repro.service.pool import WorkerPool
 from repro.service.queue import (
     DeadlineUnmeetable,
     JobQueue,
@@ -90,6 +105,9 @@ from repro.service.wal import JobWAL
 
 #: Fields a submission may carry besides the per-kind parameters.
 _CONTROL_FIELDS = {"tenant", "wait", "timeout", "deadline_s"}
+
+#: Request fields that determine a compile's artifact key.
+_KEY_FIELDS = ("benchmark", "scaffold", "defines", "device", "level", "day")
 
 #: Per-kind parameter allow-lists (everything else is a 400).
 _PARAM_FIELDS = {
@@ -114,6 +132,22 @@ _PARAM_FIELDS = {
 _HttpError = HttpError
 
 
+class JobError(Exception):
+    """A pooled job raised; ``error`` is its structured report."""
+
+    def __init__(self, error: Dict[str, Any]) -> None:
+        super().__init__(error.get("message", ""))
+        self.error = error
+
+
+def _as_cache_hit(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A finished payload as a repeat of its request would report it."""
+    if kind == "run":
+        compiled = {**payload["compiled"], "cache_hit": True}
+        return {**payload, "compiled": compiled}
+    return {**payload, "cache_hit": True}
+
+
 class ReproService:
     """One daemon instance: queue, warm cache, HTTP front, metrics."""
 
@@ -125,6 +159,16 @@ class ReproService:
         self.cache = MemoryCache(
             self.backing, max_entries=self.config.memory_entries
         )
+        root = getattr(self.backing, "root", None)
+        self.pool = WorkerPool(
+            self.config.workers,
+            None if root is None else str(root),
+            self.config.memory_entries,
+        )
+        # Memory-only LRUs: canonical request -> artifact key, and
+        # (coalescing key, benchmark) -> the payload a repeat gets.
+        self._keys = MemoryCache(max_entries=self.config.memory_entries)
+        self._known = MemoryCache(max_entries=self.config.memory_entries)
         self.queue = JobQueue(self.config.tenants)
         self.jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
@@ -255,6 +299,7 @@ class ReproService:
             server.close()
             await server.wait_closed()
             self.executor.shutdown(wait=False)
+            self.pool.close()
             if self.wal is not None:
                 self.wal.close()
             if config.port_file:
@@ -407,13 +452,29 @@ class ReproService:
             job.future.set_result(None)
 
     def _on_cache_event(self, event: str) -> None:
-        """Cache events arrive from executor threads; count in-loop."""
+        """Cache events arrive from sweep threads; count in-loop."""
         loop = self.loop
         if loop is None or not loop.is_running():
             return
         loop.call_soon_threadsafe(
             functools.partial(self._cache_events.inc, event=event)
         )
+
+    def _count_cache_events(self, events) -> None:
+        """Count cache events of a worker or a known answer (in-loop).
+
+        They also enter the daemon's cache statistics, which thereby
+        cover every process that serves its requests.
+        """
+        stats = self.cache.stats
+        for event in events:
+            self._cache_events.inc(event=event)
+            if event in ("memory_hit", "disk_hit"):
+                stats.hits += 1
+            elif event == "miss":
+                stats.misses += 1
+            elif event == "store":
+                stats.stores += 1
 
     # ------------------------------------------------------------------
     # Workers
@@ -459,20 +520,26 @@ class ReproService:
         started = time.monotonic()
         try:
             payload = await asyncio.wait_for(
-                self.loop.run_in_executor(self.executor, self._execute, job),
-                timeout=remaining,
+                self._execute(job), timeout=remaining
             )
         except asyncio.TimeoutError:
-            # Cooperative cancel: the executor thread cannot be killed
-            # and may still finish in the background, but its result
-            # is discarded — the client contract is the deadline.
+            # A pooled job's worker is killed; a sweep thread cannot
+            # be, and may still finish in the background, but its
+            # result is discarded — the client contract is the deadline.
             self._fail_deadline(job, stage="execution")
+        except JobError as exc:
+            job.error = exc.error
+            job.status = "failed"
         except Exception as exc:  # noqa: BLE001 - contained per job
             job.error = {"type": type(exc).__name__, "message": str(exc)}
             job.status = "failed"
         else:
             job.result = payload
             job.status = "done"
+            if job.kind != "sweep" and job.coalesce_key:
+                self._known.put(
+                    self._known_key(job), _as_cache_hit(job.kind, payload)
+                )
         job.finished_at = time.time()
         self._running -= 1
         self._latency.observe(time.monotonic() - started, kind=job.kind)
@@ -485,18 +552,25 @@ class ReproService:
         )
         self._finish(job)
 
-    def _execute(self, job: Job) -> Dict[str, Any]:
-        """Run one job's api call (executor thread)."""
+    async def _execute(self, job: Job) -> Dict[str, Any]:
+        """One job's payload: compile/run on the pool, sweeps on a thread."""
+        if job.kind == "sweep":
+            return await self.loop.run_in_executor(
+                self.executor, self._sweep, job
+            )
+        status, body, events = await self.pool.run(
+            job.kind, job.params, job.artifact_key
+        )
+        self._count_cache_events(events)
+        if status == "error":
+            raise JobError(body)
+        return body
+
+    def _sweep(self, job: Job) -> Dict[str, Any]:
+        """Run one sweep job's api call (executor thread)."""
         from repro import api
 
         params = dict(job.params)
-        if job.kind == "compile":
-            return api.compile(cache=self.cache, **params).to_payload()
-        if job.kind == "run":
-            benchmark = params.pop("benchmark")
-            return api.run(
-                benchmark, cache=self.cache, **params
-            ).to_payload()
         device = params.pop("device")
         compilers = params.pop("compilers", ["1QOptCN"])
         # Sweeps go straight to the disk store: the journal and the
@@ -544,12 +618,20 @@ class ReproService:
     # Submission
 
     def _prepare(self, kind: str, body: Dict[str, Any]) -> Tuple[
-        Dict[str, Any], Optional[str]
+        Dict[str, Any], Optional[str], Optional[str]
     ]:
-        """Validated api params + coalescing key for one submission."""
+        """Validated api params, coalescing key and artifact key.
+
+        Every rejection is a ``ValueError``/``KeyError``/``TypeError``
+        (HTTP 400) raised here, before anything is queued or journaled.
+        """
         from repro import api
         from repro.compiler import CompileOptions
         from repro.devices import device_by_name
+        from repro.experiments.runner import (
+            DEFAULT_FAULT_SAMPLES,
+            check_fault_samples,
+        )
         from repro.programs import benchmark_by_name
 
         allowed = _PARAM_FIELDS[kind]
@@ -560,6 +642,8 @@ class ReproService:
         # Every kind validates its compile knobs at admission, before
         # anything is queued or journaled.
         knobs = CompileOptions.from_params(params).as_params()
+        if "fault_samples" in params:
+            check_fault_samples(params["fault_samples"])
         if kind == "compile" and (
             ("benchmark" in params) == ("scaffold" in params)
         ):
@@ -571,19 +655,11 @@ class ReproService:
         if "device" not in params:
             raise ValueError("'device' is required")
         if kind != "sweep":
-            key = api.compile_cache_key(
-                benchmark=params.get("benchmark"),
-                scaffold=params.get("scaffold"),
-                defines=params.get("defines"),
-                device=params["device"],
-                level=params.get("level", "1QOptCN"),
-                day=params.get("day", 0),
-                **knobs,
-            )
+            key = self._artifact_key(params, knobs)
             if kind == "compile":
-                return params, f"compile:{key}"
-            samples = params.get("fault_samples", 100)
-            return params, f"run:{key}:fs{samples}"
+                return params, f"compile:{key}", key
+            samples = params.get("fault_samples", DEFAULT_FAULT_SAMPLES)
+            return params, f"run:{key}:fs{samples}", key
         device = device_by_name(str(params["device"]), params.get("day", 0))
         for day in params.get("days") or []:
             device.on_day(day)  # a bad day is a 400 here, not a failed job
@@ -592,9 +668,49 @@ class ReproService:
             benchmark_by_name(str(name))
         if params.get("run_id") or params.get("resume"):
             # Resumable sweeps are stateful; never fold them together.
-            return params, None
+            return params, None, None
         spec = json.dumps(params, sort_keys=True, default=str)
-        return params, f"sweep:{digest('service-sweep', spec)}"
+        return params, f"sweep:{digest('service-sweep', spec)}", None
+
+    def _artifact_key(
+        self, params: Dict[str, Any], knobs: Dict[str, Any]
+    ) -> str:
+        """The request's :func:`repro.api.compile_cache_key`, memoized.
+
+        A device is immutable per (machine, day), so one canonical
+        request always has one key: a repeated request skips building
+        and keying its circuit.  Rejections are never memoized.
+        """
+        from repro import api
+        from repro.scaffold import ScaffoldError
+
+        fields = {name: params.get(name) for name in _KEY_FIELDS}
+        request = json.dumps([fields, knobs], sort_keys=True, default=str)
+        key = self._keys.get(request)
+        if key is None:
+            try:
+                key = api.compile_cache_key(
+                    benchmark=fields["benchmark"],
+                    scaffold=fields["scaffold"],
+                    defines=fields["defines"],
+                    device=fields["device"],
+                    level=params.get("level", "1QOptCN"),
+                    day=params.get("day", 0),
+                    **knobs,
+                )
+            except ScaffoldError as exc:
+                raise ValueError(f"bad 'scaffold': {exc}") from None
+            self._keys.put(request, key)
+        return key
+
+    @staticmethod
+    def _known_key(job: Job) -> str:
+        """Where a finished job's payload is kept for its repeats.
+
+        The payload echoes the request's benchmark spelling, which the
+        content-addressed coalescing key leaves out.
+        """
+        return f"{job.coalesce_key}|{job.params.get('benchmark')}"
 
     @staticmethod
     def _parse_deadline(body: Dict[str, Any]) -> Optional[float]:
@@ -615,7 +731,7 @@ class ReproService:
             raise QueueClosed("service is draining")
         tenant = str(body.get("tenant") or DEFAULT_TENANT)
         deadline_s = self._parse_deadline(body)
-        params, coalesce_key = self._prepare(kind, body)
+        params, coalesce_key, key = self._prepare(kind, body)
         if deadline_s is not None:
             # Admission control: a budget the rate limiter provably
             # consumes before the job could start is rejected now, not
@@ -633,20 +749,26 @@ class ReproService:
             coalesce_key=coalesce_key,
             submitted_at=time.time(),
             deadline_s=deadline_s,
+            artifact_key=key,
         )
         job.future = self.loop.create_future()
-        primary = (
-            self._inflight.get(coalesce_key) if coalesce_key else None
-        )
-        if primary is not None and not primary.finished:
-            job.coalesced_with = primary.id
-            primary.duplicates.append(job.id)
-            self._cache_events.inc(event="coalesced")
-        else:
-            self.queue.submit(job)
-            if coalesce_key:
-                self._inflight[coalesce_key] = job
-            self._kick.set()
+        # A repeat of a finished request is settled in the loop (after
+        # journaling, below) whenever dispatch would start it now.
+        known = self._known.get(self._known_key(job)) if key else None
+        if known is None or not self.queue.start_now(tenant):
+            known = None
+            primary = (
+                self._inflight.get(coalesce_key) if coalesce_key else None
+            )
+            if primary is not None and not primary.finished:
+                job.coalesced_with = primary.id
+                primary.duplicates.append(job.id)
+                self._cache_events.inc(event="coalesced")
+            else:
+                self.queue.submit(job)
+                if coalesce_key:
+                    self._inflight[coalesce_key] = job
+                self._kick.set()
         # Journal *before* registration and the HTTP acknowledgement:
         # what the client hears "accepted" for, a restart recovers.
         self._wal_append("submitted", lambda: self.wal.submitted(
@@ -654,7 +776,33 @@ class ReproService:
         ))
         self.jobs[job.id] = job
         self._jobs_submitted.inc(kind=kind, tenant=tenant)
+        if known is not None:
+            self._answer_known(job, known)
         return job
+
+    def _answer_known(self, job: Job, payload: Dict[str, Any]) -> None:
+        """Settle a job whose result is already known, in the loop.
+
+        It leaves what a pooled job leaves: ``running`` and ``done``
+        WAL records, the completion counter, a latency sample and the
+        ``memory_hit`` a pooled repeat would have counted.
+        """
+        started = time.monotonic()
+        job.status = "running"
+        job.started_at = time.time()
+        self._wal_append("running", lambda: self.wal.running(job.id))
+        job.result = payload
+        job.status = "done"
+        job.finished_at = time.time()
+        self._count_cache_events(["memory_hit"])
+        self._latency.observe(time.monotonic() - started, kind=job.kind)
+        self._jobs_completed.inc(
+            kind=job.kind, tenant=job.tenant, status="done"
+        )
+        self._wal_append(
+            "done", lambda: self.wal.finished(job.id, "done", None)
+        )
+        job.future.set_result(None)
 
     # ------------------------------------------------------------------
     # HTTP front

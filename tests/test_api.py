@@ -291,3 +291,14 @@ class TestCliThinClient:
         out = capsys.readouterr().out
         assert f"success rate  : {result.success_rate:.4f}" in out
         assert f"ideal rate    : {result.ideal_rate:.4f}" in out
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("samples", [-3, 2.5, "many", True, None])
+    def test_bad_fault_samples_raise_value_error(self, samples):
+        with pytest.raises(ValueError, match="fault_samples"):
+            api.run("HS2", device="tenerife", fault_samples=samples)
+
+    def test_cache_key_of_a_program_wider_than_the_device(self):
+        with pytest.raises(ValueError, match="'device'"):
+            api.compile_cache_key("BV6", device="tenerife")

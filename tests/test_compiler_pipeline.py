@@ -16,6 +16,7 @@ from repro.devices import (
     rigetti_agave,
     umd_trapped_ion,
 )
+from repro.devices.gatesets import VendorFamily
 from repro.programs import bernstein_vazirani, toffoli_benchmark
 from repro.sim import ideal_distribution
 
@@ -183,3 +184,15 @@ class TestOptPresets:
         distribution = ideal_distribution(cleaned.circuit)
         assert distribution["000"] == pytest.approx(0.5)
         assert distribution["001"] == pytest.approx(0.5)
+
+
+class TestFitCheck:
+    def test_too_wide_circuit_is_one_value_error_and_no_log(self, caplog):
+        device = make_device(Topology.line(4), VendorFamily.IBM)
+        circuit, _ = bernstein_vazirani(6)
+        for level in OptimizationLevel:
+            caplog.clear()
+            with caplog.at_level("DEBUG"):
+                with pytest.raises(ValueError, match="needs 6 qubits"):
+                    TriQCompiler(device, level=level).compile(circuit)
+            assert caplog.records == []

@@ -718,3 +718,47 @@ class TestDeadlines:
         # Live (non-replayed) jobs are never marked recovered.
         assert payload["job"]["recovered"] is False
         assert payload["job"]["interrupted"] is False
+
+
+class TestAdmissionRejections:
+    """Bodies that cannot succeed are 400s naming the field, before
+    anything is queued or journaled."""
+
+    BAD_SCAFFOLD = "module main( { qbit q[2]; H(q[0]); }"
+
+    @pytest.mark.parametrize(
+        "kind,body,field",
+        [
+            ("compile", {"benchmark": "BV6", "device": "tenerife"},
+             "device"),
+            ("run", {"benchmark": "BV8", "device": "agave"}, "device"),
+            ("compile", {"scaffold": BAD_SCAFFOLD, "device": "tenerife"},
+             "scaffold"),
+            ("run", {"benchmark": "HS2", "device": "tenerife",
+                     "fault_samples": "many"}, "fault_samples"),
+            ("run", {"benchmark": "HS2", "device": "tenerife",
+                     "fault_samples": -3}, "fault_samples"),
+            ("run", {"benchmark": "HS2", "device": "tenerife",
+                     "fault_samples": 2.5}, "fault_samples"),
+            ("sweep", {"device": "tenerife", "fault_samples": True},
+             "fault_samples"),
+        ],
+    )
+    def test_rejected_before_queueing(self, harness, kind, body, field):
+        with pytest.raises(ValueError, match=field):
+            harness.service._prepare(kind, body)
+        status, payload = harness.request("POST", f"/v1/{kind}", body)
+        assert status == 400
+        assert repr(field) in payload["error"]
+        assert harness.request("GET", "/v1/jobs")[1]["jobs"] == []
+        assert harness.metric(
+            "repro_service_wal_records_total", event="submitted"
+        ) == 0
+
+    def test_zero_fault_samples_stays_legal(self, harness):
+        status, payload = harness.request(
+            "POST", "/v1/run",
+            {"benchmark": "HS2", "device": "tenerife", "fault_samples": 0},
+        )
+        assert status == 200
+        assert payload["result"]["fault_samples"] == 0
