@@ -37,6 +37,7 @@ from repro.api.results import (
 )
 from repro.cache import Cache, open_cache
 from repro.compiler import CompileOptions, OptimizationLevel
+from repro.compiler.mapping import check_fits
 from repro.devices import all_devices, device_by_name
 from repro.devices.device import Device
 from repro.experiments.runner import (
@@ -249,7 +250,6 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     opt: str = "none",
     obs: Optional[ObsConfig] = None,
     obs_tag: str = "compile",
-    key: Optional[str] = None,
 ) -> CompileResult:
     """Compile one program for one device at one optimization level.
 
@@ -261,11 +261,9 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     placement solver (``"exact"``/``"portfolio"``/``"heuristic"``, see
     :mod:`repro.smt.portfolio`); ``opt`` the fixed-point pass-manager
     preset (``"none"``/``"basic"``/``"full"``, see
-    :mod:`repro.compiler.passes`).  ``key`` is this request's
-    :func:`compile_cache_key` when the caller already holds it (the
-    service computes it once at admission); it is trusted, not
-    recomputed.  Returns a :class:`CompileResult` whose ``executable``
-    is byte-identical to what ``repro compile`` emits.
+    :mod:`repro.compiler.passes`).  Returns a :class:`CompileResult`
+    whose ``executable`` is byte-identical to what ``repro compile``
+    emits.
     """
     options = CompileOptions(
         contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
@@ -278,11 +276,10 @@ def compile(  # noqa: A001 - the public API name; builtins.compile unused here
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    if key is None:
-        key = artifact_key(
-            built_circuit, resolved_device, resolved_level, day=day,
-            options=options,
-        )
+    key = artifact_key(
+        built_circuit, resolved_device, resolved_level, day=day,
+        options=options,
+    )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
         program, cache_hit = compile_keyed(
             key, built_circuit, resolved_device, resolved_level, day=day,
@@ -310,7 +307,6 @@ def run(
     opt: str = "none",
     obs: Optional[ObsConfig] = None,
     obs_tag: str = "run",
-    key: Optional[str] = None,
 ) -> RunResult:
     """Compile a suite benchmark and estimate its success rate.
 
@@ -318,8 +314,7 @@ def run(
     known-correct answer.  The estimate is produced by the very
     ``monte_carlo_success_rate`` call ``repro run`` has always made
     (default seed, no memoization), so the floats match bit for bit.
-    ``fault_samples`` must be a non-negative integer; ``key`` is as in
-    :func:`compile`.
+    ``fault_samples`` must be a non-negative integer.
     """
     check_fault_samples(fault_samples)
     options = CompileOptions(
@@ -334,11 +329,10 @@ def run(
     resolved_level = resolve_level(level)
     if cache is None and cache_dir is not None:
         cache = open_cache(cache_dir)
-    if key is None:
-        key = artifact_key(
-            built_circuit, resolved_device, resolved_level, day=day,
-            options=options,
-        )
+    key = artifact_key(
+        built_circuit, resolved_device, resolved_level, day=day,
+        options=options,
+    )
     with _obs_session(obs, obs_tag, cache) as obs_holder:
         program, cache_hit = compile_keyed(
             key, built_circuit, resolved_device, resolved_level, day=day,
@@ -573,12 +567,10 @@ def compile_cache_key(
         circuit=circuit,
     )
     resolved_device = _resolve_device(device, day)
-    if not fits(built_circuit, resolved_device):
-        raise ValueError(
-            f"bad 'device': {resolved_device.name} has "
-            f"{resolved_device.num_qubits} qubits but "
-            f"{built_circuit.name!r} needs {built_circuit.num_qubits}"
-        )
+    try:
+        check_fits(built_circuit, resolved_device)
+    except ValueError as exc:
+        raise ValueError(f"bad 'device': {exc}") from None
     return artifact_key(
         built_circuit,
         resolved_device,

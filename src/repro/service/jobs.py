@@ -53,12 +53,6 @@ class Job:
     #: True when the previous daemon died while this job was running
     #: (it is re-executed; the compile cache makes that idempotent).
     interrupted: bool = False
-    #: Compile-artifact key computed at admission (compile and run
-    #: jobs); handed to the worker so it is not recomputed.  Not
-    #: journaled: a job recovered from the WAL is keyed by its worker.
-    artifact_key: Optional[str] = field(
-        default=None, repr=False, compare=False
-    )
     #: Resolved (with None) when the job reaches done/failed.  Created
     #: by the server inside the event loop.
     future: Optional["asyncio.Future"] = field(

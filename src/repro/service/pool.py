@@ -22,7 +22,7 @@ into ``size`` long-lived worker processes instead:
   moment the daemon is gone, even in the middle of a job.
 
 The wire protocol is one :class:`multiprocessing.connection.Connection`
-per worker: the daemon sends ``(kind, params, key)`` and receives
+per worker: the daemon sends ``(kind, params)`` and receives
 ``("ok", payload, events)`` or ``("error", error, events)``; ``None``
 asks the worker to exit.  The event loop waits on the connection and
 on the process sentinel with ``add_reader``, so no thread sits between
@@ -44,15 +44,8 @@ class WorkerCrashed(RuntimeError):
     """A pool worker process died while running a job."""
 
 
-def execute_job(
-    kind: str, params: Dict[str, Any], key: Optional[str], cache
-) -> Dict[str, Any]:
-    """One compile/run job's JSON payload (the worker-side body).
-
-    ``key`` is the artifact key the daemon computed at admission (None
-    for jobs recovered from the WAL); passing it on spares the worker
-    from keying the circuit again.
-    """
+def execute_job(kind: str, params: Dict[str, Any], cache) -> Dict[str, Any]:
+    """One compile/run job's JSON payload (the worker-side body)."""
     from repro import api
     from repro.experiments.faults import maybe_inject_fault
 
@@ -60,9 +53,9 @@ def execute_job(
     if params.get("benchmark") is not None:
         maybe_inject_fault(str(params["benchmark"]), 1)
     if kind == "compile":
-        return api.compile(cache=cache, key=key, **params).to_payload()
+        return api.compile(cache=cache, **params).to_payload()
     benchmark = params.pop("benchmark")
-    return api.run(benchmark, cache=cache, key=key, **params).to_payload()
+    return api.run(benchmark, cache=cache, **params).to_payload()
 
 
 def serve_jobs(conn, cache) -> None:
@@ -80,11 +73,11 @@ def serve_jobs(conn, cache) -> None:
             return
         if request is None:
             return
-        kind, params, key = request
+        kind, params = request
         del events[:]
         try:
             reply: Tuple[str, Any, List[str]] = (
-                "ok", execute_job(kind, params, key, cache), list(events)
+                "ok", execute_job(kind, params, cache), list(events)
             )
         except Exception as exc:  # noqa: BLE001 - reported, worker survives
             reply = (
@@ -221,7 +214,7 @@ class WorkerPool:
         return self._spawn()
 
     async def run(
-        self, kind: str, params: Dict[str, Any], key: Optional[str]
+        self, kind: str, params: Dict[str, Any]
     ) -> Tuple[str, Any, List[str]]:
         """Run one job on an idle worker; the worker's reply tuple.
 
@@ -231,7 +224,7 @@ class WorkerPool:
         """
         worker = self._take()
         try:
-            reply = await worker.call((kind, params, key))
+            reply = await worker.call((kind, params))
         except BaseException:
             worker.process.kill()
             worker.destroy()

@@ -558,9 +558,7 @@ class ReproService:
             return await self.loop.run_in_executor(
                 self.executor, self._sweep, job
             )
-        status, body, events = await self.pool.run(
-            job.kind, job.params, job.artifact_key
-        )
+        status, body, events = await self.pool.run(job.kind, job.params)
         self._count_cache_events(events)
         if status == "error":
             raise JobError(body)
@@ -618,9 +616,9 @@ class ReproService:
     # Submission
 
     def _prepare(self, kind: str, body: Dict[str, Any]) -> Tuple[
-        Dict[str, Any], Optional[str], Optional[str]
+        Dict[str, Any], Optional[str]
     ]:
-        """Validated api params, coalescing key and artifact key.
+        """Validated api params + coalescing key for one submission.
 
         Every rejection is a ``ValueError``/``KeyError``/``TypeError``
         (HTTP 400) raised here, before anything is queued or journaled.
@@ -657,9 +655,9 @@ class ReproService:
         if kind != "sweep":
             key = self._artifact_key(params, knobs)
             if kind == "compile":
-                return params, f"compile:{key}", key
+                return params, f"compile:{key}"
             samples = params.get("fault_samples", DEFAULT_FAULT_SAMPLES)
-            return params, f"run:{key}:fs{samples}", key
+            return params, f"run:{key}:fs{samples}"
         device = device_by_name(str(params["device"]), params.get("day", 0))
         for day in params.get("days") or []:
             device.on_day(day)  # a bad day is a 400 here, not a failed job
@@ -668,9 +666,9 @@ class ReproService:
             benchmark_by_name(str(name))
         if params.get("run_id") or params.get("resume"):
             # Resumable sweeps are stateful; never fold them together.
-            return params, None, None
+            return params, None
         spec = json.dumps(params, sort_keys=True, default=str)
-        return params, f"sweep:{digest('service-sweep', spec)}", None
+        return params, f"sweep:{digest('service-sweep', spec)}"
 
     def _artifact_key(
         self, params: Dict[str, Any], knobs: Dict[str, Any]
@@ -731,7 +729,7 @@ class ReproService:
             raise QueueClosed("service is draining")
         tenant = str(body.get("tenant") or DEFAULT_TENANT)
         deadline_s = self._parse_deadline(body)
-        params, coalesce_key, key = self._prepare(kind, body)
+        params, coalesce_key = self._prepare(kind, body)
         if deadline_s is not None:
             # Admission control: a budget the rate limiter provably
             # consumes before the job could start is rejected now, not
@@ -749,12 +747,14 @@ class ReproService:
             coalesce_key=coalesce_key,
             submitted_at=time.time(),
             deadline_s=deadline_s,
-            artifact_key=key,
         )
         job.future = self.loop.create_future()
         # A repeat of a finished request is settled in the loop (after
         # journaling, below) whenever dispatch would start it now.
-        known = self._known.get(self._known_key(job)) if key else None
+        known = (
+            self._known.get(self._known_key(job))
+            if kind != "sweep" and coalesce_key else None
+        )
         if known is None or not self.queue.start_now(tenant):
             known = None
             primary = (

@@ -682,16 +682,10 @@ class TestDeadlines:
     ):
         """A job that blows its budget mid-execution fails with a
         structured DeadlineExceeded naming the stage, and the deadline
-        counter ticks."""
-        from repro import api
-
-        real_compile = api.compile
-
-        def glacial_compile(*args, **kwargs):
-            time.sleep(3.0)
-            return real_compile(*args, **kwargs)
-
-        monkeypatch.setattr(api, "compile", glacial_compile)
+        counter ticks.  The compile hangs in its worker (injected fault,
+        inherited by the workers the first job spawns), so the deadline
+        is the only way the job can end."""
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:HS2")
         status, payload = harness.request(
             "POST",
             "/v1/compile",

@@ -294,16 +294,16 @@ class TestWorkerEntryInProcess:
         thread.start()
         try:
             key = api.compile_cache_key("HS2", device="tenerife")
-            daemon_end.send(("compile", dict(HOT), key))
+            daemon_end.send(("compile", dict(HOT)))
             status, payload, events = daemon_end.recv()
             assert status == "ok" and payload["cache_key"] == key
             assert events[0] == "miss" and "store" in events
-            daemon_end.send(("compile", dict(HOT), None))
+            daemon_end.send(("compile", dict(HOT)))
             status, payload, events = daemon_end.recv()
             assert payload["cache_hit"] is True and events == ["memory_hit"]
             daemon_end.send(
                 ("run", {"benchmark": "Toffoli", "device": "tenerife",
-                         "fault_samples": -1}, None)
+                         "fault_samples": -1})
             )
             status, error, _ = daemon_end.recv()
             assert status == "error" and error["type"] == "ValueError"
@@ -319,7 +319,7 @@ class TestWorkerEntryInProcess:
 
         payload = execute_job(
             "run", {"benchmark": "HS2", "device": "tenerife",
-                    "fault_samples": 20}, None, None,
+                    "fault_samples": 20}, None,
         )
         reference = api.run(
             "HS2", device="tenerife", fault_samples=20
