@@ -19,6 +19,7 @@ exactly as users do.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -37,7 +38,9 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 class Daemon:
     """One life of the service as a real subprocess."""
 
-    def __init__(self, tmp_path, fault_inject=None, lifetag="life"):
+    def __init__(
+        self, tmp_path, fault_inject=None, lifetag="life", workers=2
+    ):
         self.port_file = tmp_path / f"port-{lifetag}"
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         env.pop("REPRO_FAULT_INJECT", None)
@@ -50,7 +53,7 @@ class Daemon:
                 "--port-file", str(self.port_file),
                 "--cache-dir", str(tmp_path / "cache"),
                 "--wal-path", str(tmp_path / "wal.jsonl"),
-                "--workers", "2",
+                "--workers", str(workers),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -232,6 +235,104 @@ class TestServeKillRecovery:
             assert life2.terminate_clean() == 0
         finally:
             life2.cleanup()
+
+
+_DIED = (ConnectionError, http.client.HTTPException, OSError)
+
+
+class TestKillAtEveryFsync:
+    """``serve-kill:N`` for every WAL fsync of one scripted life.
+
+    The script: a pooled compile A (waited on), a repeat of A (answered
+    in the event loop), then a ``wait: false`` compile B, polled until
+    it settles.  Life N dies on its Nth fsync; the first N whose life
+    finishes the script alive runs clean, so the script makes F = N - 1
+    fsyncs — derived, never assumed, since batching WAL records changes
+    F.  Each killed life is restarted, and the restarted life must
+    finish every journaled job exactly once.
+    """
+
+    @staticmethod
+    def _drive(life):
+        """Run the script; return ({job id: status acked}, survived)."""
+        acked = {}
+        try:
+            for body in (BODY_A, BODY_A, BODY_B):
+                status, payload = life.request("POST", "/v1/compile", body)
+                assert status in (200, 202), payload
+                acked[payload["job"]["id"]] = payload["job"]["status"]
+                if status == 200:
+                    assert payload["result"]["benchmark"] == "HS2"
+            life.wait_job(payload["job"]["id"])
+        except _DIED:
+            return acked, False
+        return acked, True
+
+    @staticmethod
+    def _audit(life, acked):
+        """Every journaled job settles, each exactly once."""
+        _, listing = life.request("GET", "/v1/jobs")
+        ids = [job["id"] for job in listing["jobs"]]
+        assert set(acked) <= set(ids) and len(ids) <= 3, (acked, ids)
+        settled = {job_id: life.wait_job(job_id) for job_id in ids}
+        assert all(
+            payload["job"]["status"] == "done" for payload in settled.values()
+        ), settled
+        for job_id, status in acked.items():
+            if status == "done":
+                # Settled before the crash: listed, never re-run (a
+                # recovered terminal job has no result to show).
+                assert settled[job_id]["job"]["recovered"] is True
+                assert "result" not in settled[job_id]
+        count = functools.partial(
+            life.metric, "repro_service_recovered_jobs_total"
+        )
+        terminal = count(disposition="terminal")
+        reexecuted = count(disposition="reexecuted")
+        requeued = count(disposition="requeued")
+        assert terminal + reexecuted + requeued == len(ids)
+        assert reexecuted == sum(
+            payload["job"]["interrupted"] for payload in settled.values()
+        )
+        assert life.metric(
+            "repro_service_jobs_completed_total",
+            kind="compile", tenant="default", status="done",
+        ) == reexecuted + requeued
+        assert sum(
+            "result" in payload for payload in settled.values()
+        ) == reexecuted + requeued
+
+    def test_every_crash_point_completes_each_job_exactly_once(
+        self, tmp_path
+    ):
+        fsyncs = None
+        for n in range(1, 40):
+            root = tmp_path / f"kill-{n}"
+            root.mkdir()
+            life = Daemon(
+                root, fault_inject=f"serve-kill:{n}", lifetag="1", workers=1
+            )
+            try:
+                life.wait_listening()
+                acked, survived = self._drive(life)
+                if survived:
+                    assert life.terminate_clean() == 0
+                else:
+                    assert life.wait_death() == INJECTED_CRASH_EXIT_CODE
+            finally:
+                life.cleanup()
+            if survived:
+                fsyncs = n - 1
+                break
+            restarted = Daemon(root, lifetag="2", workers=1)
+            try:
+                restarted.wait_listening()
+                self._audit(restarted, acked)
+                assert restarted.terminate_clean() == 0
+            finally:
+                restarted.cleanup()
+        # Every job journals at least submitted, running and done.
+        assert fsyncs is not None and fsyncs >= 3
 
 
 class TestTornTailRecovery:
