@@ -391,8 +391,11 @@ def sweep(
     two paths plan identically, so run ids, journals, and task digests
     are interchangeable between them.  Remote workers record no traces
     or profiles, so an enabled ``obs`` with ``workers_from`` raises
-    :class:`ValueError` rather than silently writing nothing.
+    :class:`ValueError` rather than silently writing nothing.  A
+    ``fault_samples`` that is not a non-negative integer is a
+    :class:`ValueError` on either path.
     """
+    check_fault_samples(kwargs.get("fault_samples", DEFAULT_FAULT_SAMPLES))
     kwargs["options"] = CompileOptions(
         contracts=contracts, mapper=mapper, opt=opt, warm_start=warm_start
     )

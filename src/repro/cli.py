@@ -261,17 +261,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: `run` needs a suite benchmark (known correct answer)",
               file=sys.stderr)
         return 2
-    result = api.run(
-        args.benchmark,
-        device=args.device,
-        level=args.level,
-        day=args.day,
-        fault_samples=args.fault_samples,
-        cache=_open_cli_cache(args),
-        **_compile_knobs(args),
-        obs=_cli_obs_config(args),
-        obs_tag="run",
-    )
+    try:
+        result = api.run(
+            args.benchmark,
+            device=args.device,
+            level=args.level,
+            day=args.day,
+            fault_samples=args.fault_samples,
+            cache=_open_cli_cache(args),
+            **_compile_knobs(args),
+            obs=_cli_obs_config(args),
+            obs_tag="run",
+        )
+    except ValueError as exc:
+        # A rejected configuration (a bad --fault-samples, a program
+        # wider than the device).
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     compiled = result.compiled
     for violation in compiled.contract_violations:
         print(f"contract violation: {violation}", file=sys.stderr)

@@ -112,14 +112,14 @@ class AppendLog:
         self._handle = handle
         return handle
 
-    def append(self, line: bytes) -> None:
-        """Write ``line`` (newline included) and fsync it.
+    def append(self, data: bytes) -> None:
+        """Write ``data`` (one or more whole lines) and fsync it once.
 
         An fsync the filesystem refuses is tolerated: the bytes are
         written and flushed either way.
         """
         handle = self._handle or self._open()
-        handle.write(line)
+        handle.write(data)
         handle.flush()
         try:
             os.fsync(handle.fileno())

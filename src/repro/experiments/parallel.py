@@ -72,6 +72,7 @@ from repro.experiments.runner import (
     DEFAULT_FAULT_SAMPLES,
     CompilerName,
     Measurement,
+    check_fault_samples,
     measure,
     resolve_compiler,
 )
@@ -397,7 +398,11 @@ def run_sweep(
             ``*.pstats``.  Strictly outside the result path: cache
             keys, journal digests, and measurements are byte-identical
             with observability on, off, or absent.
+
+    Raises:
+        ValueError: ``fault_samples`` is not a non-negative integer.
     """
+    check_fault_samples(fault_samples)
     started = time.perf_counter()
     cache, _, ledger = prepare_sweep(
         device,

@@ -22,8 +22,8 @@ framing is parsed by hand) that fronts :mod:`repro.api` with:
 * **known results answered in the event loop** — the ``done`` payload
   of every compile and run is kept in a memory-only LRU under its
   coalescing key; a repeated request is answered from it at admission,
-  with the same three WAL records a pooled job leaves, and never waits
-  for a worker;
+  with the same three WAL records a pooled job leaves (journaled in one
+  append, so one fsync), and never waits for a worker;
 * **request coalescing** — concurrent submissions whose
   content-addressed key (:func:`repro.api.compile_cache_key`) matches
   an in-flight job never queue a second compile: they share the
@@ -101,7 +101,12 @@ from repro.service.queue import (
     QueueClosed,
     QueueFull,
 )
-from repro.service.wal import JobWAL
+from repro.service.wal import (
+    JobWAL,
+    finished_record,
+    running_record,
+    submitted_record,
+)
 
 #: Fields a submission may carry besides the per-kind parameters.
 _CONTROL_FIELDS = {"tenant", "wait", "timeout", "deadline_s"}
@@ -138,6 +143,24 @@ class JobError(Exception):
     def __init__(self, error: Dict[str, Any]) -> None:
         super().__init__(error.get("message", ""))
         self.error = error
+
+
+def _echo_request(
+    job: Job, payload: Optional[Dict[str, Any]]
+) -> Optional[Dict[str, Any]]:
+    """A coalesced primary's payload as ``job``'s own request reports it.
+
+    The coalescing key is content-addressed and leaves the benchmark
+    spelling out (a Scaffold compile of a suite program shares the
+    suite compile's key), so each duplicate echoes its own.
+    """
+    if payload is None or job.kind == "sweep":
+        return payload
+    benchmark = job.params.get("benchmark")
+    if job.kind == "run":
+        compiled = {**payload["compiled"], "benchmark": benchmark}
+        return {**payload, "compiled": compiled}
+    return {**payload, "benchmark": benchmark}
 
 
 def _as_cache_hit(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -237,12 +260,17 @@ class ReproService:
     def wal_enabled(self) -> bool:
         return self.wal is not None
 
-    def _wal_append(self, event: str, append) -> None:
-        """Run one WAL append and count it (no-op with the WAL off)."""
+    def _journal(self, *records: Dict[str, Any]) -> None:
+        """Journal ``records`` in one WAL append and count them.
+
+        One write and one fsync however many records settle together;
+        a no-op with the WAL off.
+        """
         if self.wal is None:
             return
-        append()
-        self._wal_records.inc(event=event)
+        self.wal.write(*records)
+        for record in records:
+            self._wal_records.inc(event=record["event"])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -504,10 +532,6 @@ class ReproService:
             # executor slot (and without a WAL "running" record — the
             # job never ran).
             self._fail_deadline(job, stage="queue")
-            self._wal_append(
-                "failed",
-                lambda: self.wal.finished(job.id, "failed", job.error),
-            )
             self._jobs_completed.inc(
                 kind=job.kind, tenant=job.tenant, status="failed"
             )
@@ -515,7 +539,7 @@ class ReproService:
             return
         # Journaled before execution: a crash from here on leaves a
         # "running" record, which replay re-executes exactly once.
-        self._wal_append("running", lambda: self.wal.running(job.id))
+        self._journal(running_record(job.id))
         self._running += 1
         started = time.monotonic()
         try:
@@ -545,10 +569,6 @@ class ReproService:
         self._latency.observe(time.monotonic() - started, kind=job.kind)
         self._jobs_completed.inc(
             kind=job.kind, tenant=job.tenant, status=job.status
-        )
-        self._wal_append(
-            job.status,
-            lambda: self.wal.finished(job.id, job.status, job.error),
         )
         self._finish(job)
 
@@ -585,32 +605,34 @@ class ReproService:
         return payload
 
     def _finish(self, job: Job) -> None:
+        """Settle a finished job and the duplicates coalesced onto it.
+
+        Its terminal WAL record and theirs go in one append, so a
+        restart never re-runs work the primary already settled.
+        """
         if (
             job.coalesce_key
             and self._inflight.get(job.coalesce_key) is job
         ):
             del self._inflight[job.coalesce_key]
-        if job.future is not None and not job.future.done():
-            job.future.set_result(None)
+        settled = [job]
         for dup_id in job.duplicates:
             duplicate = self.jobs.get(dup_id)
             if duplicate is None:
                 continue
             duplicate.status = job.status
-            duplicate.result = job.result
+            duplicate.result = _echo_request(duplicate, job.result)
             duplicate.error = job.error
             duplicate.started_at = job.started_at
             duplicate.finished_at = job.finished_at
-            # Duplicates reach their terminal state in the WAL too, so
-            # a restart never re-runs work the primary already settled.
-            self._wal_append(
-                duplicate.status,
-                lambda d=duplicate: self.wal.finished(
-                    d.id, d.status, d.error
-                ),
-            )
-            if duplicate.future is not None and not duplicate.future.done():
-                duplicate.future.set_result(None)
+            settled.append(duplicate)
+        self._journal(*(
+            finished_record(each.id, each.status, each.error)
+            for each in settled
+        ))
+        for each in settled:
+            if each.future is not None and not each.future.done():
+                each.future.set_result(None)
 
     # ------------------------------------------------------------------
     # Submission
@@ -771,26 +793,29 @@ class ReproService:
                 self._kick.set()
         # Journal *before* registration and the HTTP acknowledgement:
         # what the client hears "accepted" for, a restart recovers.
-        self._wal_append("submitted", lambda: self.wal.submitted(
-            job.wal_entry()
-        ))
+        if known is None:
+            self._journal(submitted_record(job.wal_entry()))
+        else:
+            self._answer_known(job, known)
         self.jobs[job.id] = job
         self._jobs_submitted.inc(kind=kind, tenant=tenant)
-        if known is not None:
-            self._answer_known(job, known)
         return job
 
     def _answer_known(self, job: Job, payload: Dict[str, Any]) -> None:
         """Settle a job whose result is already known, in the loop.
 
-        It leaves what a pooled job leaves: ``running`` and ``done``
-        WAL records, the completion counter, a latency sample and the
-        ``memory_hit`` a pooled repeat would have counted.
+        It leaves what a pooled job leaves: ``submitted``, ``running``
+        and ``done`` WAL records (here in one append), the completion
+        counter, a latency sample and the ``memory_hit`` a pooled
+        repeat would have counted.
         """
         started = time.monotonic()
-        job.status = "running"
         job.started_at = time.time()
-        self._wal_append("running", lambda: self.wal.running(job.id))
+        self._journal(
+            submitted_record(job.wal_entry()),
+            running_record(job.id),
+            finished_record(job.id, "done"),
+        )
         job.result = payload
         job.status = "done"
         job.finished_at = time.time()
@@ -798,9 +823,6 @@ class ReproService:
         self._latency.observe(time.monotonic() - started, kind=job.kind)
         self._jobs_completed.inc(
             kind=job.kind, tenant=job.tenant, status="done"
-        )
-        self._wal_append(
-            "done", lambda: self.wal.finished(job.id, "done", None)
         )
         job.future.set_result(None)
 
@@ -972,12 +994,13 @@ class ReproService:
             )
         except (TypeError, ValueError):
             raise _HttpError(400, "bad 'timeout'") from None
-        try:
-            await asyncio.wait_for(
-                asyncio.shield(job.future), timeout=timeout
-            )
-        except asyncio.TimeoutError:
-            return 202, {"job": job.describe()}
+        if not job.finished:  # an in-loop answer is settled already
+            try:
+                await asyncio.wait_for(
+                    asyncio.shield(job.future), timeout=timeout
+                )
+            except asyncio.TimeoutError:
+                return 202, {"job": job.describe()}
         if job.status == "done":
             status = 200
         elif (job.error or {}).get("type") == "DeadlineExceeded":

@@ -29,6 +29,14 @@ Record shapes (one JSON object per line, ``"v": 1``)::
     {"v": 1, "event": "done",     "id": "job-000001"}
     {"v": 1, "event": "failed",   "id": "job-000001", "error": {...}}
 
+:meth:`JobWAL.write` journals several records in one append — one
+write, one fsync — with exactly the bytes separate appends would leave.
+The daemon uses it where records settle together: an in-loop answer's
+``submitted``, ``running`` and ``done``, and a finished primary's
+terminal record with those of its coalesced duplicates.  A crash
+part-way through such a write leaves a torn tail that replay skips, for
+records no client was acknowledged on.
+
 On restart the daemon calls :meth:`JobWAL.replay` for the surviving
 job states, then :meth:`JobWAL.rewrite` to compact the log: terminal
 jobs are dropped (their artifacts live in the cache; their status
@@ -38,7 +46,7 @@ across restarts and a second replay of the same file is a no-op.
 
 Fault injection (``REPRO_FAULT_INJECT``): ``serve-kill:N`` turns the
 Nth fsync into an uncatchable ``os._exit`` and ``wal-torn-tail`` makes
-the next append write only a prefix of its line before dying — see
+the next append write only a prefix of its bytes before dying — see
 :mod:`repro.experiments.faults`.
 """
 
@@ -69,6 +77,23 @@ def _encode(record: Dict[str, Any]) -> bytes:
         dict(record, v=WAL_VERSION), separators=(",", ":"),
         sort_keys=True, default=str,
     ).encode("utf-8")
+
+
+def submitted_record(job: Dict[str, Any]) -> Dict[str, Any]:
+    return {"event": "submitted", "job": job}
+
+
+def running_record(job_id: str) -> Dict[str, Any]:
+    return {"event": "running", "id": job_id}
+
+
+def finished_record(
+    job_id: str, status: str, error: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    record: Dict[str, Any] = {"event": status, "id": job_id}
+    if error is not None:
+        record["error"] = error
+    return record
 
 
 @dataclass
@@ -117,29 +142,30 @@ class JobWAL(AppendLog):
     # ------------------------------------------------------------------
     # Append side
 
-    def _event(self, record: Dict[str, Any]) -> None:
-        line = _encode(record)
+    def write(self, *records: Dict[str, Any]) -> None:
+        """Journal ``records`` in one append: one write, one fsync.
+
+        The bytes are those one append per record would leave.
+        """
+        data = b"".join(_encode(record) + b"\n" for record in records)
         if wal_torn_tail_requested():
-            # A power cut mid-write: half the bytes, no newline, gone.
-            self.append(line[: max(1, len(line) // 2)])
+            # A power cut mid-write: half the bytes, then gone.
+            self.append(data[: max(1, len(data) // 2)])
             os._exit(INJECTED_CRASH_EXIT_CODE)
-        self.append(line + b"\n")
+        self.append(data)
         maybe_inject_serve_kill(self.fsyncs)
 
     def submitted(self, job: Dict[str, Any]) -> None:
-        self._event({"event": "submitted", "job": job})
+        self.write(submitted_record(job))
 
     def running(self, job_id: str) -> None:
-        self._event({"event": "running", "id": job_id})
+        self.write(running_record(job_id))
 
     def finished(
         self, job_id: str, status: str,
         error: Optional[Dict[str, Any]] = None,
     ) -> None:
-        record: Dict[str, Any] = {"event": status, "id": job_id}
-        if error is not None:
-            record["error"] = error
-        self._event(record)
+        self.write(finished_record(job_id, status, error))
 
     # ------------------------------------------------------------------
     # Replay side
@@ -205,6 +231,6 @@ class JobWAL(AppendLog):
         """
         self.close()
         atomic_write(self.path, b"".join(
-            _encode({"event": "submitted", "job": job.raw}) + b"\n"
+            _encode(submitted_record(job.raw)) + b"\n"
             for job in pending
         ))

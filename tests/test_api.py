@@ -299,6 +299,20 @@ class TestRunArguments:
         with pytest.raises(ValueError, match="fault_samples"):
             api.run("HS2", device="tenerife", fault_samples=samples)
 
+    @pytest.mark.parametrize("samples", [-3, 2.5, True])
+    def test_sweep_validates_fault_samples_on_every_path(self, samples):
+        from repro.experiments.parallel import run_sweep
+
+        with pytest.raises(ValueError, match="fault_samples"):
+            api.sweep("tenerife", "N", ["BV4"], fault_samples=samples)
+        with pytest.raises(ValueError, match="fault_samples"):
+            api.sweep(
+                "tenerife", "N", ["BV4"], fault_samples=samples,
+                workers_from="local:1",
+            )
+        with pytest.raises(ValueError, match="fault_samples"):
+            run_sweep("tenerife", ["N"], ["BV4"], fault_samples=samples)
+
     def test_cache_key_of_a_program_wider_than_the_device(self):
         with pytest.raises(ValueError, match="'device'"):
             api.compile_cache_key("BV6", device="tenerife")

@@ -43,6 +43,22 @@ class TestParsing:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_fault_samples_is_a_one_line_usage_error(
+        self, command, capsys
+    ):
+        code = main([
+            command, "-d", "tenerife", "-b", "BV4", "--fault-samples", "-3",
+            "--no-cache",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro {command}: bad 'fault_samples': must be a non-negative "
+            "integer, got -3"
+        ]
+
     def test_benchmark_and_scaffold_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -3,9 +3,10 @@
 The unit half covers :class:`~repro.durable.AppendLog` (exact bytes,
 lazy ``mkdir -p``, torn-tail repair) and :func:`~repro.durable.atomic_write`
 (replace, temp-file cleanup on failure).  The replay half records a
-real two-level sweep journal and a scripted service WAL, truncates a
-copy at every byte offset — every point a crash could have stopped the
-writer — and checks what a restart recovers:
+real two-level sweep journal and a scripted service WAL (grouped
+multi-record appends included), truncates a copy at every byte offset —
+every point a crash could have stopped the writer — and checks what a
+restart recovers:
 
 * every record whose JSON text is wholly inside the prefix is
   recovered, and nothing else is;
@@ -27,7 +28,12 @@ from repro.compiler import OptimizationLevel
 from repro.durable import AppendLog, atomic_write, read_jsonl
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import run_sweep
-from repro.service.wal import JobWAL
+from repro.service.wal import (
+    JobWAL,
+    finished_record,
+    running_record,
+    submitted_record,
+)
 
 
 class TestAppendLog:
@@ -159,12 +165,12 @@ def sweep_journal_bytes(tmp_path_factory):
     return data
 
 
-def _job(job_id):
+def _job(job_id, coalesced_with=None):
     return {
         "id": job_id, "kind": "compile", "tenant": "default",
         "params": {"benchmark": "HS2", "device": "tenerife"},
         "coalesce_key": None, "deadline_s": None,
-        "submitted_at": 1.0, "coalesced_with": None,
+        "submitted_at": 1.0, "coalesced_with": coalesced_with,
     }
 
 
@@ -181,8 +187,24 @@ def wal_bytes(tmp_path_factory):
     wal.running("job-000003")
     wal.running("job-000004")
     wal.finished("job-000004", "done")
+    # An in-loop answer: three records, one append.
+    wal.write(
+        submitted_record(_job("job-000005")),
+        running_record("job-000005"),
+        finished_record("job-000005", "done"),
+    )
+    # A primary and its coalesced duplicate settle in one append.
+    wal.submitted(_job("job-000006"))
+    wal.submitted(_job("job-000007", coalesced_with="job-000006"))
+    wal.running("job-000006")
+    wal.write(
+        finished_record("job-000006", "failed", {"type": "ValueError"}),
+        finished_record("job-000007", "failed", {"type": "ValueError"}),
+    )
     wal.close()
-    return wal.path.read_bytes()
+    data = wal.path.read_bytes()
+    assert data.count(b"\n") == wal.fsyncs + 3  # groups of three and two
+    return data
 
 
 RANK = {"queued": 0, "running": 1, "done": 2, "failed": 2}
@@ -234,4 +256,6 @@ class TestCrashPointReplay:
         assert previous == {
             "job-000001": "done", "job-000002": "failed",
             "job-000003": "running", "job-000004": "done",
+            "job-000005": "done", "job-000006": "failed",
+            "job-000007": "failed",
         }

@@ -104,6 +104,22 @@ class ServiceHarness:
         )
         return series.get(wanted, 0.0)
 
+    def wait_job(self, job_id, timeout_s=120.0):
+        """Poll one job until it settles; its payload."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            _, payload = self.request("GET", f"/v1/jobs/{job_id}")
+            if payload["job"]["status"] in ("done", "failed"):
+                return payload
+            assert time.monotonic() < deadline, f"{job_id} never settled"
+            time.sleep(0.05)
+
+    def wal_records(self):
+        return [
+            json.loads(line)
+            for line in self.service.wal.path.read_bytes().splitlines()
+        ]
+
     def stop(self):
         loop = self.service.loop
         if loop is not None and loop.is_running():
@@ -223,6 +239,24 @@ class TestJobs:
         )
         assert after > before
 
+    def test_in_loop_answer_is_one_fsync_of_three_records(self, harness):
+        body = {"benchmark": "HS2", "device": "tenerife"}
+        harness.request("POST", "/v1/compile", body)
+        fsyncs = harness.service.wal.fsyncs
+        before = harness.wal_records()
+        _, payload = harness.request("POST", "/v1/compile", body)
+        assert payload["result"]["cache_hit"] is True
+        assert harness.service.wal.fsyncs == fsyncs + 1
+        records = harness.wal_records()
+        assert records[:len(before)] == before
+        job_id = payload["job"]["id"]
+        assert records[len(before):] == [
+            {"v": 1, "event": "submitted", "job": records[-3]["job"]},
+            {"v": 1, "event": "running", "id": job_id},
+            {"v": 1, "event": "done", "id": job_id},
+        ]
+        assert records[-3]["job"]["id"] == job_id
+
     def test_run_over_http(self, harness):
         from repro import api
 
@@ -326,6 +360,43 @@ class TestCoalescing:
             )
             == 1.0
         )
+
+    @pytest.mark.parametrize(
+        "suite_first", [True, False], ids=["suite-first", "scaffold-first"]
+    )
+    def test_duplicate_echoes_its_own_benchmark(self, harness, suite_first):
+        """A Scaffold compile of Toffoli shares the suite compile's key;
+        the job coalesced onto the other still reports its own
+        ``benchmark``, and both terminal records take one fsync."""
+        from repro.programs.scaffold_sources import SCAFFOLD_SUITE
+
+        source, defines, _ = SCAFFOLD_SUITE["Toffoli"]
+        suite = {"benchmark": "Toffoli", "device": "tenerife"}
+        scaffold = {"scaffold": source, "defines": defines,
+                    "device": "tenerife"}
+        bodies = [suite, scaffold] if suite_first else [scaffold, suite]
+        assert harness.request("POST", "/admin/pause")[0] == 200
+        ids = [
+            harness.request(
+                "POST", "/v1/compile", dict(body, wait=False)
+            )[1]["job"]["id"]
+            for body in bodies
+        ]
+        fsyncs = harness.service.wal.fsyncs
+        assert harness.request("POST", "/admin/resume")[0] == 200
+        primary, duplicate = [harness.wait_job(job_id) for job_id in ids]
+        assert duplicate["job"]["coalesced_with"] == ids[0]
+        assert [primary["result"]["benchmark"],
+                duplicate["result"]["benchmark"]] == [
+            body.get("benchmark") for body in bodies
+        ]
+        assert (primary["result"]["executable"]
+                == duplicate["result"]["executable"])
+        # The primary's running record, then one append of both ends.
+        assert harness.service.wal.fsyncs == fsyncs + 2
+        assert harness.wal_records()[-2:] == [
+            {"v": 1, "event": "done", "id": job_id} for job_id in ids
+        ]
 
     def test_finished_jobs_do_not_coalesce(self, harness):
         body = {"benchmark": "HS2", "device": "tenerife"}

@@ -20,7 +20,13 @@ import warnings
 import pytest
 
 from repro.cache import activate_cache
-from repro.service.wal import WAL_VERSION, JobWAL
+from repro.service.wal import (
+    WAL_VERSION,
+    JobWAL,
+    finished_record,
+    running_record,
+    submitted_record,
+)
 
 from tests.test_service import ServiceHarness
 
@@ -182,6 +188,23 @@ class TestJobWALUnit:
         wal.finished("job-000001", "done")
         assert wal.fsyncs == 3
         wal.close()
+
+    def test_grouped_write_is_one_fsync_of_the_same_bytes(self, tmp_path):
+        job, error = make_job(), {"type": "ValueError"}
+        apart = JobWAL(tmp_path / "apart.jsonl")
+        apart.submitted(job)
+        apart.running("job-000001")
+        apart.finished("job-000001", "failed", error)
+        apart.close()
+        grouped = JobWAL(tmp_path / "grouped.jsonl")
+        grouped.write(
+            submitted_record(job),
+            running_record("job-000001"),
+            finished_record("job-000001", "failed", error),
+        )
+        grouped.close()
+        assert grouped.fsyncs == 1 and apart.fsyncs == 3
+        assert grouped.path.read_bytes() == apart.path.read_bytes()
 
 
 class TestServiceRecovery:
